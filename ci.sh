@@ -10,7 +10,8 @@
 #   converge  - plan-convergence corpus (equivalent formulations must
 #               load identical instances and cost-pick identical
 #               strategies) + the stats-drop mis-pick self-check
-#   bench     - bench smoke + baseline gate vs BENCH_seed.json
+#   bench     - bench smoke + perfbench smoke + baseline gate vs
+#               BENCH_seed.json
 #
 # `./ci.sh` runs every stage in order; `./ci.sh fuzz bench` runs a
 # subset (same as `make ci-fuzz ci-bench`). Exits non-zero on the first
@@ -213,6 +214,11 @@ stage_converge() {
 stage_bench() {
   echo "== bench smoke =="
   dune exec bench/main.exe -- --list
+
+  echo "== perfbench smoke (every workload, tiny size, untraced + traced) =="
+  # each fetched CO is checked against SQL-derived oracles; any failure
+  # other than the documented known defect makes it exit non-zero
+  python3 perfbench/smoke.py
 
   echo "== bench gate (E4+E11+E12+E13+E14 vs BENCH_seed.json) =="
   # re-run the paged-storage, repeated-fetch, batch-edge, cost-pick and

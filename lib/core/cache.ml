@@ -480,12 +480,13 @@ let build_key_index cache ~node:name ~col =
     column equals [v] (stale entries for tombstoned tuples are filtered). *)
 let lookup_key cache ki v =
   let ni = node cache ki.ki_node in
-  let hits =
-    List.filter
-      (fun pos -> (tuple ni pos).t_live)
-      (Option.value ~default:[]
-         (Hashtbl.find_opt ki.ki_map (Dict.key_cell (Dict.encode v))))
+  (* [find_key], not [encode]: a miss must not grow the dictionary *)
+  let bucket =
+    match Dict.find_key v with
+    | Some k -> Option.value ~default:[] (Hashtbl.find_opt ki.ki_map k)
+    | None -> []
   in
+  let hits = List.filter (fun pos -> (tuple ni pos).t_live) bucket in
   Obs.Metrics.incr (match hits with [] -> m_key_misses | _ -> m_key_hits);
   hits
 

@@ -256,7 +256,8 @@ let ensure_extent db (rt : node_rt) : extent =
             let keep =
               match s.s_pred with None -> true | Some p -> Value.is_true (Expr.eval_pred row p)
             in
-            if keep then rows := (Row.encode (Row.project row s.s_proj), rowid) :: !rows)
+            if keep then
+              rows := (Row.project_enc (Table.enc s.s_table rowid) s.s_proj, rowid) :: !rows)
           s.s_table;
         let rows = List.rev !rows in
         { x_schema = rt.nr_ni.Cache.ni_schema; x_rows = Array.of_list (List.map fst rows);
@@ -311,7 +312,8 @@ let ensure_temp db rt =
 
    Delivery is CPS: per match the prober calls [emit rowid base_enc
    attrs] with the child's base rowid (identity), its ENCODED base row
-   (the consumer projects to node-output columns only when the tuple is
+   (the table's per-slot memo, [Table.enc]: encoded once per write, not
+   once per probe; the consumer projects to node-output columns only when the tuple is
    first materialized) and the ENCODED relationship-attribute row. The
    fast path (no residual predicate, no WITH ATTRIBUTES, no probe-time
    child predicate) allocates nothing per hit: no record, no list cons,
@@ -426,32 +428,32 @@ let build_indexed_prober db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t
         ( (fun params ->
             let sub, eval_attrs, child_ok = specialize params in
             let residual = Option.map sub residual0 in
+            let tbl = child.s_table in
             fun parent_row emit ->
             let key_id = parent_row.(parent_col) in
             if not (Dict.is_null key_id) then begin
-              let cands = Table.lookup_index child.s_table idx [| Dict.decode key_id |] in
-              scanned := !scanned + List.length cands;
-              if residual = None && no_attrs then
-                (* fast path: nothing reads the concat row — skip it *)
-                List.iter
-                  (fun (rowid, base_row) ->
-                    if child_ok base_row then emit rowid (Row.encode base_row) empty_enc)
-                  cands
-              else begin
-                let parent_dec = Row.decode parent_row in
-                List.iter
-                  (fun (rowid, base_row) ->
+              (* probed by the parent's normalized key id; candidates
+                 come encoded from the table's memo *)
+              (* fast path: nothing reads the concat row — skip it *)
+              let fast = residual = None && no_attrs in
+              let parent_dec = if fast then [||] else Row.decode parent_row in
+              Index.iter_id idx (Dict.key_cell key_id) (fun rowid ->
+                  match Table.get tbl rowid with
+                  | None -> ()
+                  | Some base_row ->
+                    incr scanned;
                     if child_ok base_row then begin
-                      let concat = Row.concat parent_dec base_row in
-                      let keep =
-                        match residual with
-                        | None -> true
-                        | Some p -> Value.is_true (Expr.eval_pred concat p)
-                      in
-                      if keep then emit rowid (Row.encode base_row) (eval_attrs concat)
+                      if fast then emit rowid (Table.enc tbl rowid) empty_enc
+                      else begin
+                        let concat = Row.concat parent_dec base_row in
+                        let keep =
+                          match residual with
+                          | None -> true
+                          | Some p -> Value.is_true (Expr.eval_pred concat p)
+                        in
+                        if keep then emit rowid (Table.enc tbl rowid) (eval_attrs concat)
+                      end
                     end)
-                  cands
-              end
             end),
           scanned )
   end
@@ -486,58 +488,68 @@ let build_indexed_prober db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t
       let parent_bind = List.rev !parent_bind and child_bind = List.rev !child_bind in
       if parent_bind = [] || child_bind = [] then None
       else begin
-        let link_key_cols = Array.of_list (List.map fst parent_bind) in
-        let child_key_cols = Array.of_list (List.map fst child_bind) in
+        let parent_cols = Array.of_list (List.map snd parent_bind) in
+        let link_ccols = Array.of_list (List.map fst child_bind) in
         match
-          ( Table.find_index link ~cols:link_key_cols,
+          ( Table.find_index link ~cols:(Array.of_list (List.map fst parent_bind)),
             Table.find_index child.s_table ~cols:(Array.of_list (List.map snd child_bind)) )
         with
         | Some link_idx, Some child_idx ->
-          ignore child_key_cols;
           let residual0 = bind_residual (List.rev !residual) in
           let scanned = ref 0 in
+          (* fill [key] with the normalized key ids of [row]'s [cols];
+             false when one is NULL (NULL never joins) *)
+          let key_ids key (row : Row.enc) cols =
+            let rec go i =
+              i >= Array.length cols
+              ||
+              let k = Dict.key_cell row.(cols.(i)) in
+              key.(i) <- k;
+              (not (Dict.is_null k)) && go (i + 1)
+            in
+            go 0
+          in
           Some
             ( (fun params ->
                 let sub, eval_attrs, child_ok = specialize params in
                 let residual = Option.map sub residual0 in
+                let tbl = child.s_table in
+                (* per-prober key scratch, refilled per probe; a chain
+                   walk never retains it *)
+                let link_key = Array.make (Array.length parent_cols) 0 in
+                let child_key = Array.make (Array.length link_ccols) 0 in
                 fun parent_row emit ->
-                let link_key =
-                  Array.of_list (List.map (fun (_, p) -> Dict.decode parent_row.(p)) parent_bind)
-                in
-                if not (Array.exists Value.is_null link_key) then begin
-                  let links = Table.lookup_index link link_idx link_key in
-                  scanned := !scanned + List.length links;
+                if key_ids link_key parent_row parent_cols then begin
                   let parent_dec =
                     if residual <> None || not no_attrs then Row.decode parent_row else [||]
                   in
-                  List.iter
-                    (fun (_, link_row) ->
-                      let child_key =
-                        Array.of_list (List.map (fun (l, _) -> link_row.(l)) child_bind)
-                      in
-                      if not (Array.exists Value.is_null child_key) then begin
-                        let cands = Table.lookup_index child.s_table child_idx child_key in
-                        scanned := !scanned + List.length cands;
-                        List.iter
-                          (fun (rowid, base_row) ->
-                            if child_ok base_row then begin
-                              if residual = None && no_attrs then
-                                emit rowid (Row.encode base_row) empty_enc
-                              else begin
-                                let concat =
-                                  Row.concat (Row.concat parent_dec base_row) link_row
-                                in
-                                let keep =
-                                  match residual with
-                                  | None -> true
-                                  | Some p -> Value.is_true (Expr.eval_pred concat p)
-                                in
-                                if keep then emit rowid (Row.encode base_row) (eval_attrs concat)
-                              end
-                            end)
-                          cands
-                      end)
-                    links
+                  Index.iter_ids link_idx link_key (fun link_rowid ->
+                      match Table.get link link_rowid with
+                      | None -> ()
+                      | Some link_row ->
+                        incr scanned;
+                        if key_ids child_key (Table.enc link link_rowid) link_ccols then
+                          Index.iter_ids child_idx child_key (fun rowid ->
+                              match Table.get tbl rowid with
+                              | None -> ()
+                              | Some base_row ->
+                                incr scanned;
+                                if child_ok base_row then begin
+                                  if residual = None && no_attrs then
+                                    emit rowid (Table.enc tbl rowid) empty_enc
+                                  else begin
+                                    let concat =
+                                      Row.concat (Row.concat parent_dec base_row) link_row
+                                    in
+                                    let keep =
+                                      match residual with
+                                      | None -> true
+                                      | Some p -> Value.is_true (Expr.eval_pred concat p)
+                                    in
+                                    if keep then
+                                      emit rowid (Table.enc tbl rowid) (eval_attrs concat)
+                                  end
+                                end))
                 end),
               scanned )
         | _ -> None
@@ -615,7 +627,7 @@ let ensure_build (hs : hash_source) =
         Table.iter
           (fun rowid row ->
             if keep row then begin
-              let enc = Row.encode row in
+              let enc = Table.enc hs.hs_table rowid in
               let k = Dict.key_cell enc.(kc) in
               if not (Dict.is_null k) then
                 Hashtbl.replace t k
@@ -629,7 +641,7 @@ let ensure_build (hs : hash_source) =
         Table.iter
           (fun rowid row ->
             if keep row then begin
-              let enc = Row.encode row in
+              let enc = Table.enc hs.hs_table rowid in
               let key = Array.map (fun i -> Dict.key_cell enc.(i)) hs.hs_key_cols in
               if not (Expr.Row_key.has_null key) then
                 Expr.Row_key_tbl.replace t key
@@ -1458,6 +1470,34 @@ let subst_restrictions params restrs =
         | R_edge r -> R_edge { r with re_pred = Xnf_ast.subst_params_xexpr params r.re_pred })
       restrs
 
+(* a simple root whose (parameter-substituted) predicate has a
+   [col = literal] conjunct on a column with a one-column index reads
+   that index instead of scanning: the hits in rowid order, so the cache
+   fills in scan order. The caller still evaluates the full predicate on
+   every hit. A literal the dictionary lacks matches no row. *)
+let root_point_lookup (s : simple) : int list option =
+  let rec conjuncts acc = function
+    | Expr.And (a, b) -> conjuncts (conjuncts acc b) a
+    | e -> e :: acc
+  in
+  let indexed = function
+    | Expr.Cmp (Expr.Eq, Expr.Col c, Expr.Lit v) | Expr.Cmp (Expr.Eq, Expr.Lit v, Expr.Col c) ->
+      Option.map (fun idx -> (idx, v)) (Table.find_index s.s_table ~cols:[| c |])
+    | _ -> None
+  in
+  match s.s_pred with
+  | None -> None
+  | Some p ->
+    Option.map
+      (fun (idx, v) ->
+        match Dict.find_key v with
+        | None -> []
+        | Some k ->
+          let hits = ref [] in
+          Index.iter_id idx k (fun rowid -> hits := rowid :: !hits);
+          List.sort Int.compare !hits)
+      (List.find_map indexed (conjuncts [] p))
+
 (** [execute_def ?fixpoint ?params db cp path_restrs] evaluates a compiled
     plan into a cache (before TAKE projection and final updatability
     analysis), substituting [params] for the [?] slots. *)
@@ -1585,14 +1625,21 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
           note_query ();
           (match r.nr_simple with
           | Some s ->
-            Table.iter
-              (fun rowid row ->
-                let keep =
-                  match s.s_pred with None -> true | Some p -> Value.is_true (Expr.eval_pred row p)
-                in
-                if keep then
-                  ignore (Cache.add_tuple r.nr_ni ~rowid (Row.encode (Row.project row s.s_proj))))
-              s.s_table
+            let add rowid row =
+              let keep =
+                match s.s_pred with None -> true | Some p -> Value.is_true (Expr.eval_pred row p)
+              in
+              if keep then
+                ignore
+                  (Cache.add_tuple r.nr_ni ~rowid
+                     (Row.project_enc (Table.enc s.s_table rowid) s.s_proj))
+            in
+            (match root_point_lookup s with
+            | Some hits ->
+              List.iter
+                (fun rowid -> Option.iter (add rowid) (Table.get s.s_table rowid))
+                hits
+            | None -> Table.iter add s.s_table)
           | None ->
             let x = ensure_extent db r in
             Array.iteri
@@ -1606,9 +1653,10 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
   (* 4. reachability: semi-naive (or naive) fixpoint *)
   (* prober hits deliver the child's encoded BASE row; project to the
      node's output columns only when the tuple is first materialized. An
-     identity projection shares the build's row array with the cache
-     tuple — safe, because in-cache rows are never mutated in place
-     ([Udi] copies before writing, TAKE replaces the array). *)
+     identity projection shares the hash build's or the table memo's row
+     array with the cache tuple — safe, because encoded rows are never
+     mutated in place ([Udi] copies before writing, TAKE replaces the
+     array). *)
   let child_proj child_rt =
     match child_rt.nr_simple with
     | Some s ->

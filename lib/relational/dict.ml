@@ -113,6 +113,13 @@ let find_exact = function
 
 let key_cell id = if id land 3 = 1 then Vec.get keys (id lsr 2) else id
 
+(* an integral float's key is its integer's, as in [intern] *)
+let rec find_key = function
+  | Value.Float f
+    when Float.is_integer f && Float.abs f < float_int_bound && not (Float.is_nan f) ->
+    find_key (Value.Int (int_of_float f))
+  | v -> Option.map key_cell (find_exact v)
+
 let encode_row (r : Value.t array) : int array = Array.map encode r
 let decode_row (e : int array) : Value.t array = Array.map decode e
 

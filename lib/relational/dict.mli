@@ -46,6 +46,13 @@ val find_exact : Value.t -> int option
     allocation-free (an array read for slot ids, identity otherwise). *)
 val key_cell : int -> int
 
+(** [find_key v] is [key_cell (encode v)] without interning: [None] when
+    no interned value is key-equal to [v] (so no encoded row anywhere can
+    match it). An integral float yields its integer's key id even when the
+    float itself was never interned. Lookups use this so a miss never
+    grows the dictionary. *)
+val find_key : Value.t -> int option
+
 (** [encode_row r] / [decode_row e] map {!encode}/{!decode} over a row. *)
 
 val encode_row : Value.t array -> int array

@@ -1,17 +1,23 @@
 (* Secondary indexes: hash (equality) and ordered (range) multimaps from
-   key rows to row ids. Indexes are maintained by {!Table} on every DML
-   operation; they never own the data. *)
+   keys to row ids. Indexes are maintained by {!Table} on every DML
+   operation; they never own the data.
 
-module Key = struct
+   A hash index is a set of chains over flat int arrays, keyed by
+   normalized dictionary key ids ([Dict.key_cell], so Int/Float
+   cross-equal values share a key and NULL = NULL): [heads] maps a key
+   hash to the newest rowid of its chain, [next]/[prev] link the chain's
+   rowids newest-first, and [keys] holds every rowid's key ids at
+   [rowid * arity]. Keys that hash alike share a chain, so a lookup walks
+   it comparing ints — it never builds or hashes a boxed row. An emptied
+   chain leaves [heads] at once, so key churn under DELETE/UPDATE cannot
+   grow it. Ordered indexes keep a [Map] over boxed key rows for range
+   scans. *)
+
+module KeyMap = Map.Make (struct
   type t = Row.t
 
   let compare = Row.compare
-  let equal = Row.equal
-  let hash = Row.hash
-end
-
-module KeyHash = Hashtbl.Make (Key)
-module KeyMap = Map.Make (Key)
+end)
 
 type kind = Hash | Ordered
 
@@ -19,9 +25,15 @@ type t = {
   idx_name : string;
   idx_cols : int array;  (** key column positions in the indexed table *)
   idx_kind : kind;
-  hash : int list KeyHash.t;  (** used when [idx_kind = Hash] *)
+  heads : Intmap.t;  (** key hash -> newest rowid of the chain ([Hash]) *)
+  mutable next : int array;  (** rowid -> next older rowid of its chain, -1 at the end *)
+  mutable prev : int array;  (** rowid -> next newer rowid, -1 at the head, [not_in] if absent *)
+  mutable keys : int array;  (** rowid's key ids at [rowid * arity] *)
+  mutable distinct : int;  (** distinct keys present ([Hash]) *)
   mutable ordered : int list KeyMap.t;  (** used when [idx_kind = Ordered] *)
 }
+
+let not_in = -2
 
 (* Global index epoch: bumped whenever an index is created or dropped
    anywhere. Cached fetch plans bake index choices in at compile time and
@@ -38,38 +50,91 @@ let bump_epoch () = incr epoch_counter
 (** [create ~name ~cols kind] is an empty index over key columns [cols]. *)
 let create ~name ~cols kind =
   bump_epoch ();
-  { idx_name = name; idx_cols = cols; idx_kind = kind; hash = KeyHash.create 64; ordered = KeyMap.empty }
+  { idx_name = name; idx_cols = cols; idx_kind = kind; heads = Intmap.create ~size:64;
+    next = [||]; prev = [||]; keys = [||]; distinct = 0; ordered = KeyMap.empty }
 
 let name t = t.idx_name
 let cols t = t.idx_cols
 let kind t = t.idx_kind
 
-(** [key_of_row t row] extracts the index key from a full table row. *)
-let key_of_row t (row : Row.t) : Key.t = Row.project row t.idx_cols
+(* hash of the [n] key ids at [a.(off)..]: a one-column key is its own
+   hash; Intmap keys must be non-negative *)
+let hash_ids a off n =
+  if n = 1 then a.(off) land max_int
+  else begin
+    let h = ref 0 in
+    for i = off to off + n - 1 do
+      h := (!h * 0x2545F4914F6CDD1D) + a.(i)
+    done;
+    !h land max_int
+  end
+
+(* does [r]'s stored key equal the [n] ids at [a.(off)..]? *)
+let same_key t r a off n =
+  let base = r * n in
+  let rec go i = i >= n || (t.keys.(base + i) = a.(off + i) && go (i + 1)) in
+  go 0
+
+(* is some rowid other than [skip] on the chain from [r] keyed like
+   [a.(off)..]? *)
+let rec key_on_chain t r ~skip a off n =
+  r >= 0 && ((r <> skip && same_key t r a off n) || key_on_chain t t.next.(r) ~skip a off n)
+
+let ensure_capacity t rowid =
+  let cap = Array.length t.prev in
+  if rowid >= cap then begin
+    let cap' = max (rowid + 1) (max 16 (2 * cap)) in
+    let n = Array.length t.idx_cols in
+    let grow a fill size =
+      let a' = Array.make size fill in
+      Array.blit a 0 a' 0 (Array.length a);
+      a'
+    in
+    t.next <- grow t.next (-1) cap';
+    t.prev <- grow t.prev not_in cap';
+    t.keys <- grow t.keys 0 (cap' * n)
+  end
 
 (** [insert t row rowid] registers [rowid] under [row]'s key. *)
-let insert t row rowid =
-  let key = key_of_row t row in
+let insert t (row : Row.t) rowid =
   match t.idx_kind with
   | Hash ->
-    let cur = Option.value ~default:[] (KeyHash.find_opt t.hash key) in
-    KeyHash.replace t.hash key (rowid :: cur)
+    ensure_capacity t rowid;
+    let n = Array.length t.idx_cols in
+    let off = rowid * n in
+    Array.iteri (fun i c -> t.keys.(off + i) <- Dict.key_cell (Dict.encode row.(c))) t.idx_cols;
+    let h = hash_ids t.keys off n in
+    let head = Intmap.get t.heads h in
+    if not (key_on_chain t head ~skip:rowid t.keys off n) then t.distinct <- t.distinct + 1;
+    t.next.(rowid) <- head;
+    t.prev.(rowid) <- -1;
+    if head >= 0 then t.prev.(head) <- rowid;
+    Intmap.set t.heads h rowid
   | Ordered ->
+    let key = Row.project row t.idx_cols in
     let cur = Option.value ~default:[] (KeyMap.find_opt key t.ordered) in
     t.ordered <- KeyMap.add key (rowid :: cur) t.ordered
 
-(** [remove t row rowid] unregisters [rowid] from [row]'s key. *)
-let remove t row rowid =
-  let key = key_of_row t row in
+(** [remove t row rowid] unregisters [rowid] from [row]'s key. A hash
+    index unlinks the key it stored for [rowid]. *)
+let remove t (row : Row.t) rowid =
   match t.idx_kind with
-  | Hash -> begin
-    match KeyHash.find_opt t.hash key with
-    | None -> ()
-    | Some ids ->
-      let ids = List.filter (fun id -> id <> rowid) ids in
-      if ids = [] then KeyHash.remove t.hash key else KeyHash.replace t.hash key ids
-  end
+  | Hash ->
+    if rowid >= 0 && rowid < Array.length t.prev && t.prev.(rowid) <> not_in then begin
+      let n = Array.length t.idx_cols in
+      let off = rowid * n in
+      let h = hash_ids t.keys off n in
+      let p = t.prev.(rowid) and nx = t.next.(rowid) in
+      if nx >= 0 then t.prev.(nx) <- p;
+      if p >= 0 then t.next.(p) <- nx
+      else if nx >= 0 then Intmap.set t.heads h nx
+      else Intmap.remove t.heads h;
+      t.prev.(rowid) <- not_in;
+      if not (key_on_chain t (Intmap.get t.heads h) ~skip:rowid t.keys off n) then
+        t.distinct <- t.distinct - 1
+    end
   | Ordered -> begin
+    let key = Row.project row t.idx_cols in
     match KeyMap.find_opt key t.ordered with
     | None -> ()
     | Some ids ->
@@ -78,11 +143,60 @@ let remove t row rowid =
         (if ids = [] then KeyMap.remove key t.ordered else KeyMap.add key ids t.ordered)
   end
 
-(** [lookup t key] is the row ids whose key equals [key]. *)
-let lookup t (key : Key.t) : int list =
+(* walk a chain, calling [f] on the rowids keyed like [ids]; the next
+   link is read before [f] runs *)
+let rec walk t ids n f r =
+  if r >= 0 then begin
+    let nx = t.next.(r) in
+    if same_key t r ids 0 n then f r;
+    walk t ids n f nx
+  end
+
+let iter_ordered t key f =
+  match KeyMap.find_opt key t.ordered with Some ids -> List.iter f ids | None -> ()
+
+(** [iter_ids t ids f] applies [f] to the row ids whose key's normalized
+    key ids ({!Dict.key_cell}) are [ids], newest first. [f] must not
+    modify the index. *)
+let iter_ids t (ids : int array) f =
   match t.idx_kind with
-  | Hash -> Option.value ~default:[] (KeyHash.find_opt t.hash key)
-  | Ordered -> Option.value ~default:[] (KeyMap.find_opt key t.ordered)
+  | Hash ->
+    let n = Array.length ids in
+    walk t ids n f (Intmap.get t.heads (hash_ids ids 0 n))
+  | Ordered -> iter_ordered t (Array.map Dict.decode ids) f
+
+let rec walk1 t k f r =
+  if r >= 0 then begin
+    let nx = t.next.(r) in
+    if t.keys.(r) = k then f r;
+    walk1 t k f nx
+  end
+
+(** [iter_id t k f] is [iter_ids t [| k |] f] for a one-column index,
+    without the key array. *)
+let iter_id t k f =
+  if Array.length t.idx_cols <> 1 then invalid_arg "Index.iter_id: multi-column index";
+  match t.idx_kind with
+  | Hash -> walk1 t k f (Intmap.get t.heads (k land max_int))
+  | Ordered -> iter_ordered t [| Dict.decode k |] f
+
+(** [iter t key f] applies [f] to the row ids whose key equals [key]
+    ({!Row.equal}), newest first. Never interns: a key holding a value
+    the dictionary lacks has no hits. *)
+let iter t (key : Row.t) f =
+  match t.idx_kind with
+  | Hash -> begin
+    match Array.map (fun v -> match Dict.find_key v with Some k -> k | None -> raise Exit) key with
+    | ids -> iter_ids t ids f
+    | exception Exit -> ()
+  end
+  | Ordered -> iter_ordered t key f
+
+(** [lookup t key] is the row ids whose key equals [key], newest first. *)
+let lookup t (key : Row.t) : int list =
+  let acc = ref [] in
+  iter t key (fun r -> acc := r :: !acc);
+  List.rev !acc
 
 (** [range t ?lo ?hi ()] enumerates row ids with keys in the interval;
     bounds are inclusive when the flag is [`Incl], exclusive for [`Excl].
@@ -111,11 +225,16 @@ let range t ?lo ?hi () : int list =
 (** [distinct_keys t] counts distinct keys currently present. *)
 let distinct_keys t =
   match t.idx_kind with
-  | Hash -> KeyHash.length t.hash
+  | Hash -> t.distinct
   | Ordered -> KeyMap.cardinal t.ordered
 
 (** [clear t] empties the index. *)
 let clear t =
   match t.idx_kind with
-  | Hash -> KeyHash.reset t.hash
+  | Hash ->
+    Intmap.clear t.heads;
+    t.next <- [||];
+    t.prev <- [||];
+    t.keys <- [||];
+    t.distinct <- 0
   | Ordered -> t.ordered <- KeyMap.empty

@@ -1,6 +1,13 @@
 (** Secondary indexes: hash (equality) and ordered (range) multimaps from
-    key rows to row ids. Maintained by {!Table} on every DML operation;
-    they never own the data. *)
+    keys to row ids. Maintained by {!Table} on every DML operation; they
+    never own the data.
+
+    A hash index chains row ids by their key's normalized dictionary key
+    ids ({!Dict.key_cell}) over flat int arrays: a lookup compares ints
+    and never builds or hashes a boxed row, and an emptied key leaves the
+    structure at once. Key equality is {!Row.equal} (Int/Float
+    cross-equal, NULL = NULL); callers apply SQL's NULL-never-joins rule
+    themselves. Every lookup delivers row ids newest first. *)
 
 type kind = Hash | Ordered
 
@@ -22,16 +29,28 @@ val name : t -> string
 val cols : t -> int array
 val kind : t -> kind
 
-(** [key_of_row t row] extracts the index key from a full table row. *)
-val key_of_row : t -> Row.t -> Row.t
-
-(** [insert t row rowid] registers [rowid] under [row]'s key. *)
+(** [insert t row rowid] registers [rowid] under [row]'s key (interning
+    the key's values). *)
 val insert : t -> Row.t -> int -> unit
 
 (** [remove t row rowid] unregisters [rowid] from [row]'s key. *)
 val remove : t -> Row.t -> int -> unit
 
-(** [lookup t key] is the row ids whose key equals [key]. *)
+(** [iter_ids t ids f] applies [f] to the row ids whose key's normalized
+    key ids are [ids], newest first. [f] must not modify the index. *)
+val iter_ids : t -> int array -> (int -> unit) -> unit
+
+(** [iter_id t k f] is [iter_ids t [| k |] f] on a one-column index,
+    without allocating the key array.
+    @raise Invalid_argument on a multi-column index. *)
+val iter_id : t -> int -> (int -> unit) -> unit
+
+(** [iter t key f] applies [f] to the row ids whose key equals [key],
+    newest first. Never interns: a key value the dictionary lacks has no
+    hits. *)
+val iter : t -> Row.t -> (int -> unit) -> unit
+
+(** [lookup t key] is the row ids whose key equals [key], newest first. *)
 val lookup : t -> Row.t -> int list
 
 (** [range t ?lo ?hi ()] enumerates row ids with keys in the interval.

@@ -8,8 +8,10 @@
    nothing (growth aside), and absence is a sentinel, not an option.
 
    Keys must be >= 0. Capacity is a power of two; multiplicative hashing
-   spreads dense keys; linear probing resolves collisions. There is no
-   delete — the uses are per-fetch build-up-then-drop maps. *)
+   spreads dense keys; linear probing resolves collisions. Deletion
+   shifts the rest of the probe run back into the hole (no tombstones),
+   so a long-lived map under key churn stays as small as its live
+   bindings. *)
 
 type t = {
   mutable slots : int array;  (** interleaved [key; value], key [-1] = empty *)
@@ -81,3 +83,36 @@ let iter f m =
     let k = m.slots.(2 * i) in
     if k >= 0 then f k m.slots.((2 * i) + 1)
   done
+
+(* slot index holding [k], or -1 *)
+let rec find_slot slots mask k i =
+  let i = i land mask in
+  let ki = Array.unsafe_get slots (2 * i) in
+  if ki = k then i else if ki = -1 then -1 else find_slot slots mask k (i + 1)
+
+(** [remove m k] unbinds [k] (no-op when unbound). *)
+let remove m k =
+  let slots = m.slots and mask = m.mask in
+  let i = if k < 0 then -1 else find_slot slots mask k (slot_of m k) in
+  if i >= 0 then begin
+    m.len <- m.len - 1;
+    (* backward shift: a later binding of the probe run moves into the
+       hole unless its home slot lies cyclically between hole and it *)
+    let hole = ref i and j = ref ((i + 1) land mask) in
+    while slots.(2 * !j) <> -1 do
+      let kj = slots.(2 * !j) in
+      if (!j - slot_of m kj) land mask >= (!j - !hole) land mask then begin
+        slots.(2 * !hole) <- kj;
+        slots.((2 * !hole) + 1) <- slots.((2 * !j) + 1);
+        hole := !j
+      end;
+      j := (!j + 1) land mask
+    done;
+    slots.(2 * !hole) <- -1;
+    slots.((2 * !hole) + 1) <- -1
+  end
+
+(** [clear m] unbinds every key, keeping the capacity. *)
+let clear m =
+  Array.fill m.slots 0 (Array.length m.slots) (-1);
+  m.len <- 0

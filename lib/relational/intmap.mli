@@ -1,7 +1,6 @@
 (** Open-addressing int -> int hash map for the execution core's hot
     paths: inline storage, allocation-free lookup and insert (growth
-    aside), sentinel-based absence. Keys must be non-negative; there is
-    no delete. *)
+    aside), sentinel-based absence. Keys must be non-negative. *)
 
 type t
 
@@ -22,3 +21,10 @@ val set : t -> int -> int -> unit
     @raise Invalid_argument on a negative key. *)
 
 val iter : (int -> int -> unit) -> t -> unit
+
+val remove : t -> int -> unit
+(** [remove m k] unbinds [k]; a no-op when [k] is unbound. Later
+    bindings of the probe run shift back, so no tombstones accumulate. *)
+
+val clear : t -> unit
+(** [clear m] unbinds every key, keeping the capacity. *)

@@ -2,12 +2,19 @@
    deletion, automatic index maintenance and basic statistics.
 
    The optional [touch] hook lets the paged-storage simulation observe every
-   row access made by the executor (see {!Buffer_pool} and experiment E4). *)
+   row access made by the executor (see {!Buffer_pool} and experiment E4).
+
+   [encs] memoizes each slot's dictionary encoding for the XNF core: a
+   slot's entry is filled on its first {!enc} and reset by every write to
+   the slot, so an encoded row handed out always matches the live row.
+   Encoded rows are shared with whoever reads them (cache tuples, hash
+   builds) and must never be mutated in place. *)
 
 type t = {
   tbl_name : string;
   schema : Schema.t;
   rows : Row.t option Vec.t;  (** [None] marks a deleted slot (tombstone) *)
+  encs : Row.enc Vec.t;  (** per-slot encode memo, [no_enc] = not yet encoded *)
   mutable live : int;
   mutable indexes : Index.t list;
   mutable version : int;  (** bumped by every DML, for cache invalidation *)
@@ -17,10 +24,21 @@ type t = {
 
 exception Schema_violation of string
 
+let no_enc : Row.enc = [||]
+
 (** [create ~name schema] is an empty table. *)
 let create ~name schema =
-  { tbl_name = name; schema; rows = Vec.create ~dummy:None (); live = 0; indexes = [];
-    version = 0; touch = None; primary_key = None }
+  { tbl_name = name; schema; rows = Vec.create ~dummy:None (); encs = Vec.create ~dummy:no_enc ();
+    live = 0; indexes = []; version = 0; touch = None; primary_key = None }
+
+(* every slot write goes through here, so the memo never outlives it *)
+let set_slot t rowid slot =
+  Vec.set t.rows rowid slot;
+  Vec.set t.encs rowid no_enc
+
+let push_slot t slot =
+  Vec.push t.rows slot;
+  Vec.push t.encs no_enc
 
 let name t = t.tbl_name
 let schema t = t.schema
@@ -57,7 +75,7 @@ let check_row t (row : Row.t) =
 let insert t row =
   check_row t row;
   let rowid = Vec.length t.rows in
-  Vec.push t.rows (Some row);
+  push_slot t (Some row);
   t.live <- t.live + 1;
   t.version <- t.version + 1;
   List.iter (fun idx -> Index.insert idx row rowid) t.indexes;
@@ -72,14 +90,14 @@ let install t rowid row =
   check_row t row;
   if rowid < 0 then invalid_arg "Table.install: negative rowid";
   while Vec.length t.rows <= rowid do
-    Vec.push t.rows None
+    push_slot t None
   done;
   (match Vec.get t.rows rowid with
   | Some old ->
     t.live <- t.live - 1;
     List.iter (fun idx -> Index.remove idx old rowid) t.indexes
   | None -> ());
-  Vec.set t.rows rowid (Some row);
+  set_slot t rowid (Some row);
   t.live <- t.live + 1;
   t.version <- t.version + 1;
   List.iter (fun idx -> Index.insert idx row rowid) t.indexes
@@ -89,7 +107,7 @@ let install t rowid row =
     slots, so the next insert gets the same rowid it would have live. *)
 let pad_slots t n =
   while Vec.length t.rows < n do
-    Vec.push t.rows None
+    push_slot t None
   done
 
 (** [slot_count t] is the total number of slots (live + tombstoned). *)
@@ -122,7 +140,7 @@ let delete t rowid =
     match Vec.get t.rows rowid with
     | None -> None
     | Some row ->
-      Vec.set t.rows rowid None;
+      set_slot t rowid None;
       t.live <- t.live - 1;
       t.version <- t.version + 1;
       List.iter (fun idx -> Index.remove idx row rowid) t.indexes;
@@ -135,7 +153,7 @@ let update t rowid row =
   match Vec.get t.rows rowid with
   | None -> None
   | Some old ->
-    Vec.set t.rows rowid (Some row);
+    set_slot t rowid (Some row);
     t.version <- t.version + 1;
     List.iter
       (fun idx ->
@@ -151,10 +169,26 @@ let restore t rowid row =
   (match Vec.get t.rows rowid with
   | Some _ -> invalid_arg "Table.restore: slot is live"
   | None -> ());
-  Vec.set t.rows rowid (Some row);
+  set_slot t rowid (Some row);
   t.live <- t.live + 1;
   t.version <- t.version + 1;
   List.iter (fun idx -> Index.insert idx row rowid) t.indexes
+
+(** [enc t rowid] is the live row at [rowid] dictionary-encoded, from the
+    memo when the slot has not been written since it was last encoded.
+    No touch notification (the caller has already read the row). The
+    result is shared: never mutate it.
+    @raise Invalid_argument on a tombstoned or out-of-range slot. *)
+let enc t rowid =
+  let e = Vec.get t.encs rowid in
+  if e != no_enc then e
+  else
+    match Vec.get t.rows rowid with
+    | Some row ->
+      let e = Row.encode row in
+      Vec.set t.encs rowid e;
+      e
+    | None -> invalid_arg "Table.enc: deleted slot"
 
 (** [iter f t] applies [f rowid row] to every live row, notifying the touch
     hook (a full scan reads every row). *)
@@ -244,6 +278,7 @@ let primary_key t = t.primary_key
 (** [clear t] removes all rows and resets indexes. *)
 let clear t =
   Vec.clear t.rows;
+  Vec.clear t.encs;
   t.live <- 0;
   t.version <- t.version + 1;
   List.iter Index.clear t.indexes

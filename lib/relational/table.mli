@@ -60,6 +60,15 @@ val update : t -> int -> Row.t -> Row.t option
     @raise Invalid_argument when the slot is live. *)
 val restore : t -> int -> Row.t -> unit
 
+(** [enc t rowid] is the live row at [rowid] dictionary-encoded
+    ({!Row.encode}), memoized per slot: the first call encodes, later ones
+    return the same array until a write to the slot (insert, install,
+    update, delete, restore, clear, pad) resets it. No touch
+    notification. The array is shared with every other caller — never
+    mutate it.
+    @raise Invalid_argument on a tombstoned slot. *)
+val enc : t -> int -> Row.enc
+
 (** [iter f t] applies [f rowid row] to every live row. *)
 val iter : (int -> Row.t -> unit) -> t -> unit
 
