@@ -119,6 +119,12 @@ stage_fuzz() {
   # hair-trigger switching threshold and cross-checks the instance.
   dune exec bin/xnf_fuzz.exe -- --seed 42 --iters "${FUZZ_ITERS:-500}" --advise --quiet
 
+  echo "== fuzz, 200 rows per table (seed 42) =="
+  # the default <= 10 rows never grow an index past its initial capacity;
+  # at 200 rows the private hash builds grow their arrays, chains get
+  # longer and the adaptive switch fires
+  dune exec bin/xnf_fuzz.exe -- --seed 42 --iters 100 --max-rows 200 --advise --quiet
+
   echo "== fuzz corpus replay =="
   dune exec bin/xnf_fuzz.exe -- --replay-dir examples/fuzz-corpus
 

@@ -8,23 +8,25 @@
        graph: per round, only the parent tuples discovered in the previous
        round probe each outgoing relationship. DAG schemas converge in one
        topological sweep; recursive schemas iterate. The naive variant
-       (re-probing from full reached sets, E6 ablation) is selectable
-       through [`Naive`];
+       (every round re-probes the full reached sets, E6 ablation) is a
+       mode of the same loop, selectable through [`Naive`];
      - each probe is *access-path selected*, like the plan optimizer does
        for parent/child joins ("in the plan optimizer handling of joins is
        heavily used since parent child relationships are computed by
        joins"): an FK-equality relationship whose child is a plain base
        table with an index on the FK column runs as an index-nested-loop
        probe; a USING relationship with indexed link bindings chains two
-       index lookups; everything else falls back to a generic plan — the
-       parent frontier and the child's materialized extent joined through
-       the relational engine (shared-temporary common subexpressions,
-       query rewrite and join-method selection included);
+       index lookups; other equality-joined simple children probe private
+       indexes built over the child rows; everything else falls back to a
+       generic plan — the parent frontier and the child's materialized
+       extent joined through the relational engine (shared-temporary
+       common subexpressions, query rewrite and join-method selection
+       included);
      - non-root extents are therefore *lazy*: only reached tuples are ever
        materialized, which is what makes working-set extraction at 10^-4
        selectivity set-oriented AND cheap (E3);
-     - connection extents are computed per relationship after reachability,
-       with the same access-path choice.
+     - connection extents are produced by the same probes, during
+       reachability.
 
    All generic queries are QGM trees executed through the relational
    engine, so query rewrite (predicate pushdown -> hash joins) and plan
@@ -273,18 +275,15 @@ let ensure_extent db (rt : node_rt) : extent =
 
 let tid_column = Schema.column ~nullable:false "__tid" Schema.Ty_int
 
-let temp_counter = ref 0
-
 (* temps live in the Value-level relational engine: cached/extent rows
-   decode at this boundary *)
-let make_temp schema (rows : (int * Row.enc) Seq.t) : Table.t =
-  incr temp_counter;
+   decode at this boundary; each is named after the node it holds *)
+let make_temp ~node schema (rows : (int * Row.enc) Seq.t) : Table.t =
   let cols =
     tid_column
     :: List.map (fun c -> { c with Schema.col_nullable = true; col_qualifier = "" })
          (Schema.columns schema)
   in
-  let t = Table.create ~name:(Printf.sprintf "__xnf_tmp%d" !temp_counter) (Schema.make cols) in
+  let t = Table.create ~name:("__xnf_tmp_" ^ node) (Schema.make cols) in
   Seq.iter
     (fun (tid, row) -> ignore (Table.insert t (Array.append [| Value.Int tid |] (Row.decode row))))
     rows;
@@ -296,7 +295,7 @@ let ensure_temp db rt =
   | None ->
     let x = ensure_extent db rt in
     let t =
-      make_temp x.x_schema
+      make_temp ~node:rt.nr_def.Co_schema.nd_name x.x_schema
         (Seq.zip (Seq.ints 0) (Array.to_seq x.x_rows) |> Seq.take (Array.length x.x_rows))
     in
     rt.nr_temp <- Some t;
@@ -305,19 +304,22 @@ let ensure_temp db rt =
 (* ---- probers ----
 
    A prober answers "children of this parent tuple" for one relationship.
-   The indexed form resolves matches through base-table indexes in OCaml —
-   the executed form of an index-nested-loop plan; the hash form through
-   version-cached hash builds; the generic fallback routes a frontier
-   batch through the relational engine.
+   Both OCaml-executed strategies walk [Index] chains keyed by normalized
+   key ids, with one prober body per edge form: [S_indexed] walks the
+   child's (and a USING link's) stored indexes — the executed form of an
+   index-nested-loop plan — and [S_hash] walks private indexes built over
+   the child (and link) rows, version-cached in the compiled plan. The
+   generic fallback routes a frontier batch through the relational
+   engine.
 
    Delivery is CPS: per match the prober calls [emit rowid base_enc
    attrs] with the child's base rowid (identity), its ENCODED base row
    (the table's per-slot memo, [Table.enc]: encoded once per write, not
-   once per probe; the consumer projects to node-output columns only when the tuple is
-   first materialized) and the ENCODED relationship-attribute row. The
-   fast path (no residual predicate, no WITH ATTRIBUTES, no probe-time
-   child predicate) allocates nothing per hit: no record, no list cons,
-   no row copy, no decode. *)
+   once per probe; the consumer projects to node-output columns only when
+   the tuple is first materialized) and the ENCODED relationship-attribute
+   row. The fast path (no residual predicate, no WITH ATTRIBUTES, no
+   probe-time child predicate) allocates nothing per probe or hit: no
+   closure, no record, no list cons, no row copy, no decode. *)
 
 type emit = int -> Row.enc -> Row.enc -> unit
 type prober = Row.enc -> emit -> unit
@@ -335,549 +337,320 @@ let qual_is alias = function
   | Some q -> String.equal (String.lowercase_ascii q) alias
   | None -> false
 
-(* shared prelude of the OCaml-executed probe paths (index-nested-loop
-   and batch hash): the concat schema residual predicates and attributes
-   bind over, and the per-EXECUTE parameter specialization. *)
-let prober_ctx db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(child : simple) =
+(* ---- equality-key classification ----
+
+   An edge predicate's conjuncts are classified once per compile, against
+   the parent's output schema, the child's base table and the USING link
+   table: equalities that can key a chain lookup, and the residual. Each
+   key pair joins a column of the probed table ([kp_key]) to a column of
+   the probing row ([kp_probe]). FK form: [ek_parent] pairs child columns
+   with parent columns. USING form: [ek_parent] pairs link columns with
+   parent columns, [ek_child] child columns with link columns. The
+   probers and [edge_shape_of] both read the result. *)
+
+type key_pair = {
+  kp_key : int;
+  kp_probe : int;
+  kp_conj : Sql_ast.expr;  (** the equality conjunct itself *)
+}
+
+type edge_keys = {
+  ek_conjuncts : Sql_ast.expr list;  (** every conjunct, in predicate order *)
+  ek_link : Table.t option;  (** the USING link table *)
+  ek_parent : key_pair list;  (** keyed by the parent row *)
+  ek_child : key_pair list;  (** USING only: keyed by the link row *)
+  ek_residual : Sql_ast.expr list;  (** the non-key conjuncts, in predicate order *)
+}
+
+let classify_keys db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(child : simple) :
+    edge_keys =
   let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-  let child_base_schema = Table.schema child.s_table in
-  (* the schema residual predicates and attributes bind over *)
-  let concat_schema =
-    let base = Schema.concat (Schema.requalify pa parent_schema) (Schema.requalify ca child_base_schema) in
+  let link =
     match ed.Co_schema.ed_using with
-    | None -> base
-    | Some (t, a) -> begin
-      match Catalog.table_opt (Db.catalog db) t with
-      | Some link -> Schema.concat base (Schema.requalify a (Table.schema link))
-      | None -> base
-    end
-  in
-  let env = Db.bind_env db in
-  let bind_residual residual =
-    match residual with
-    | [] -> None
-    | cs -> Some (Binder.bind_expr env concat_schema (List.fold_left (fun a c -> Sql_ast.E_and (a, c)) (List.hd cs) (List.tl cs)))
-  in
-  let attr_fns =
-    List.map (fun (e, _) -> Binder.bind_expr env concat_schema e) ed.Co_schema.ed_attrs
-  in
-  (* when the edge carries no WITH ATTRIBUTES, hits never need the
-     parent++child concat row unless a residual predicate asks for it —
-     probers use this to skip the per-hit decode and row allocation
-     entirely *)
-  let no_attrs = ed.Co_schema.ed_attrs = [] in
-  (* bind parameter slots once per EXECUTE, not once per probed row *)
-  let specialize params =
-    let sub e = if Array.length params = 0 then e else Expr.subst_params params e in
-    let afns = List.map sub attr_fns in
-    let eval_attrs concat =
-      Row.encode (Array.of_list (List.map (fun e -> Expr.eval concat e) afns))
-    in
-    let cpred = Option.map sub child.s_pred in
-    let child_ok base_row =
-      match cpred with None -> true | Some p -> Value.is_true (Expr.eval_pred base_row p)
-    in
-    (sub, eval_attrs, child_ok)
-  in
-  (bind_residual, no_attrs, specialize)
-
-(* try to build an index-nested-loop prober for [ed]; [parent_schema] is
-   the parent node's output schema, the child must be simple. The result
-   is parameterized over EXECUTE-time values: applying it to a [params]
-   array substitutes the parameter slots once and yields the per-row
-   probe function. The [int ref] counts candidate rows scanned (index
-   bucket sizes before residual filtering, cumulative over the prober's
-   lifetime) — the observable the adaptive fallback compares against the
-   plan's scan estimate, since stale statistics cannot show a skewed
-   bucket but the counter does. *)
-let build_indexed_prober db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
-    ~(child : simple) : ((Value.t array -> prober) * int ref) option =
-  let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-  let child_base_schema = Table.schema child.s_table in
-  let conjuncts = edge_conjuncts ed in
-  let bind_residual, no_attrs, specialize = prober_ctx db ed ~parent_schema ~child in
-  match ed.Co_schema.ed_using with
-  | None -> begin
-    (* FK form: find one equality parent.a = child.b with an index on b *)
-    let classify (q, n) =
-      if qual_is pa q then
-        Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-      else if qual_is ca q then
-        Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-      else None
-    in
-    let rec pick seen = function
-      | [] -> None
-      | (Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) as c) :: rest -> begin
-        match classify (qa, na), classify (qb, nb) with
-        | Some (`Parent p), Some (`Child ch) | Some (`Child ch), Some (`Parent p) -> begin
-          match Table.find_index child.s_table ~cols:[| ch |] with
-          | Some idx -> Some (p, idx, List.rev_append seen rest)
-          | None -> pick (c :: seen) rest
-        end
-        | _ -> pick (c :: seen) rest
-      end
-      | c :: rest -> pick (c :: seen) rest
-    in
-    match pick [] conjuncts with
     | None -> None
-    | Some (parent_col, idx, residual) ->
-      let residual0 = bind_residual residual in
-      let scanned = ref 0 in
-      Some
-        ( (fun params ->
-            let sub, eval_attrs, child_ok = specialize params in
-            let residual = Option.map sub residual0 in
-            let tbl = child.s_table in
-            fun parent_row emit ->
-            let key_id = parent_row.(parent_col) in
-            if not (Dict.is_null key_id) then begin
-              (* probed by the parent's normalized key id; candidates
-                 come encoded from the table's memo *)
-              (* fast path: nothing reads the concat row — skip it *)
-              let fast = residual = None && no_attrs in
-              let parent_dec = if fast then [||] else Row.decode parent_row in
-              Index.iter_id idx (Dict.key_cell key_id) (fun rowid ->
-                  match Table.get tbl rowid with
-                  | None -> ()
-                  | Some base_row ->
-                    incr scanned;
-                    if child_ok base_row then begin
-                      if fast then emit rowid (Table.enc tbl rowid) empty_enc
-                      else begin
-                        let concat = Row.concat parent_dec base_row in
-                        let keep =
-                          match residual with
-                          | None -> true
-                          | Some p -> Value.is_true (Expr.eval_pred concat p)
-                        in
-                        if keep then emit rowid (Table.enc tbl rowid) (eval_attrs concat)
-                      end
-                    end)
-            end),
-          scanned )
-  end
-  | Some (link_name, la) -> begin
-    match Catalog.table_opt (Db.catalog db) link_name with
-    | None -> err "[XNF005] relationship %s: USING table %s does not exist" ed.Co_schema.ed_name link_name
-    | Some link -> begin
-      let link_schema = Table.schema link in
-      let la = String.lowercase_ascii la in
-      let classify (q, n) =
-        if qual_is pa q then Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-        else if qual_is ca q then
-          Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-        else if qual_is la q then Option.map (fun i -> `Link i) (Schema.find_opt link_schema n)
-        else None
-      in
-      (* split equality conjuncts into link-parent and link-child bindings *)
-      let parent_bind = ref [] and child_bind = ref [] and residual = ref [] in
-      List.iter
-        (fun c ->
-          match c with
-          | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
-            match classify (qa, na), classify (qb, nb) with
-            | Some (`Link l), Some (`Parent p) | Some (`Parent p), Some (`Link l) ->
-              parent_bind := (l, p) :: !parent_bind
-            | Some (`Link l), Some (`Child ch) | Some (`Child ch), Some (`Link l) ->
-              child_bind := (l, ch) :: !child_bind
-            | _ -> residual := c :: !residual
-          end
-          | c -> residual := c :: !residual)
-        conjuncts;
-      let parent_bind = List.rev !parent_bind and child_bind = List.rev !child_bind in
-      if parent_bind = [] || child_bind = [] then None
-      else begin
-        let parent_cols = Array.of_list (List.map snd parent_bind) in
-        let link_ccols = Array.of_list (List.map fst child_bind) in
-        match
-          ( Table.find_index link ~cols:(Array.of_list (List.map fst parent_bind)),
-            Table.find_index child.s_table ~cols:(Array.of_list (List.map snd child_bind)) )
-        with
-        | Some link_idx, Some child_idx ->
-          let residual0 = bind_residual (List.rev !residual) in
-          let scanned = ref 0 in
-          (* fill [key] with the normalized key ids of [row]'s [cols];
-             false when one is NULL (NULL never joins) *)
-          let key_ids key (row : Row.enc) cols =
-            let rec go i =
-              i >= Array.length cols
-              ||
-              let k = Dict.key_cell row.(cols.(i)) in
-              key.(i) <- k;
-              (not (Dict.is_null k)) && go (i + 1)
-            in
-            go 0
-          in
-          Some
-            ( (fun params ->
-                let sub, eval_attrs, child_ok = specialize params in
-                let residual = Option.map sub residual0 in
-                let tbl = child.s_table in
-                (* per-prober key scratch, refilled per probe; a chain
-                   walk never retains it *)
-                let link_key = Array.make (Array.length parent_cols) 0 in
-                let child_key = Array.make (Array.length link_ccols) 0 in
-                fun parent_row emit ->
-                if key_ids link_key parent_row parent_cols then begin
-                  let parent_dec =
-                    if residual <> None || not no_attrs then Row.decode parent_row else [||]
-                  in
-                  Index.iter_ids link_idx link_key (fun link_rowid ->
-                      match Table.get link link_rowid with
-                      | None -> ()
-                      | Some link_row ->
-                        incr scanned;
-                        if key_ids child_key (Table.enc link link_rowid) link_ccols then
-                          Index.iter_ids child_idx child_key (fun rowid ->
-                              match Table.get tbl rowid with
-                              | None -> ()
-                              | Some base_row ->
-                                incr scanned;
-                                if child_ok base_row then begin
-                                  if residual = None && no_attrs then
-                                    emit rowid (Table.enc tbl rowid) empty_enc
-                                  else begin
-                                    let concat =
-                                      Row.concat (Row.concat parent_dec base_row) link_row
-                                    in
-                                    let keep =
-                                      match residual with
-                                      | None -> true
-                                      | Some p -> Value.is_true (Expr.eval_pred concat p)
-                                    in
-                                    if keep then
-                                      emit rowid (Table.enc tbl rowid) (eval_attrs concat)
-                                  end
-                                end))
-                end),
-              scanned )
-        | _ -> None
-      end
+    | Some (name, la) -> begin
+      match Catalog.table_opt (Db.catalog db) name with
+      | None ->
+        err "[XNF005] relationship %s: USING table %s does not exist" ed.Co_schema.ed_name name
+      | Some l -> Some (l, String.lowercase_ascii la)
     end
-  end
+  in
+  let side (q, n) =
+    let find tag schema = Option.map (fun i -> (tag, i)) (Schema.find_opt schema n) in
+    if qual_is pa q then find `Parent parent_schema
+    else if qual_is ca q then find `Child (Table.schema child.s_table)
+    else
+      match link with Some (l, la) when qual_is la q -> find `Link (Table.schema l) | _ -> None
+  in
+  let conjuncts = edge_conjuncts ed in
+  let parent = ref [] and via_link = ref [] and residual = ref [] in
+  List.iter
+    (fun c ->
+      let pair key probe = { kp_key = key; kp_probe = probe; kp_conj = c } in
+      match c with
+      | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
+        match side (qa, na), side (qb, nb) with
+        | (Some (`Parent, p), Some (`Child, ch) | Some (`Child, ch), Some (`Parent, p))
+          when link = None ->
+          parent := pair ch p :: !parent
+        | Some (`Link, l), Some (`Parent, p) | Some (`Parent, p), Some (`Link, l) ->
+          parent := pair l p :: !parent
+        | Some (`Link, l), Some (`Child, ch) | Some (`Child, ch), Some (`Link, l) ->
+          via_link := pair ch l :: !via_link
+        | _ -> residual := c :: !residual
+      end
+      | c -> residual := c :: !residual)
+    conjuncts;
+  { ek_conjuncts = conjuncts; ek_link = Option.map fst link; ek_parent = List.rev !parent;
+    ek_child = List.rev !via_link; ek_residual = List.rev !residual }
 
-(* ---- batch hash probing ----
+let key_cols ps = Array.of_list (List.map (fun p -> p.kp_key) ps)
+let probe_cols ps = Array.of_list (List.map (fun p -> p.kp_probe) ps)
 
-   The set-oriented default when no index serves the relationship: all
-   [parent.a = child.b] equality conjuncts form a composite key, a hash
-   table over the child extent keyed by the child half is built once, and
-   every frontier row probes it ([probe_hit]s come out exactly as for the
-   indexed path). USING relationships chain two builds: parent key ->
-   link rows -> child key -> child rows.
+(* ---- chain sources ----
 
-   Builds hold ENCODED base rows keyed by [Dict.key_cell]-normalized id
-   arrays (one-column keys specialize to a raw-int hash table), with the
-   whole bucket stored as the hash-table VALUE — a probe is one [find]
-   returning the stored list, so the hot loop allocates nothing. A
-   parameter-free child predicate is folded into the build (rows failing
-   it are never entered); parameterized predicates and the edge's
-   residual stay at probe time, so a completed build is still held in
-   the compiled plan and reused by later executions (warm EXECUTE /
-   plan-cache hits) as long as the source table's DML-visible
-   [Table.version] still matches; DDL invalidation needs nothing extra
-   because [Fetch_plan.valid] already forces recompilation. Key equality
-   and hashing are [Expr.Row_key] over normalized ids — the same
-   semantics the relational hash-join operator uses (Int/Float
-   cross-equality via [Dict.key_cell]) — and NULL keys never match (rows
-   with a NULL key component are not entered, probes with one return
-   nothing). *)
+   A hop's chains come from a stored index ([S_indexed]) or from a
+   private [Index.t] over the table's rows ([S_hash]). A build holds the
+   rows that pass the child's parameter-free predicate (folded in: probes
+   never evaluate it) and have no NULL key component (NULL never joins),
+   keyed from the table's encode memo. It is held in the compiled plan
+   and reused by later executions (warm EXECUTE / plan-cache hits) as
+   long as the source table's DML-visible [Table.version] still matches;
+   DDL invalidation needs nothing extra because [Fetch_plan.valid]
+   already forces recompilation. Private indexes never move the global
+   index epoch, so a rebuild invalidates no cached plan. *)
 
-type hash_entries = (int * Row.enc) list
-
-type hash_build = {
-  hb_version : int;  (** [Table.version] of the source at build time *)
-  hb_tbl : hash_tbl;
+type build = {
+  bd_table : Table.t;
+  bd_cols : int array;  (** key columns *)
+  bd_pred : Expr.t option;  (** parameter-free child predicate, folded into the build *)
+  mutable bd_index : (int * Index.t) option;  (** the build and its source's [Table.version] *)
 }
 
-and hash_tbl =
-  | HB_single of (int, hash_entries) Hashtbl.t  (** one key column: raw normalized ids *)
-  | HB_multi of hash_entries Expr.Row_key_tbl.t
+type chains = Stored of Index.t | Built of build
 
-type hash_source = {
-  hs_table : Table.t;
-  hs_key_cols : int array;
-  hs_pred : Expr.t option;  (** parameter-free child predicate, folded into the build *)
-  mutable hs_build : hash_build option;  (** cached across executions of the plan *)
-}
-
-let ensure_build (hs : hash_source) =
-  let v = Table.version hs.hs_table in
-  match hs.hs_build with
-  | Some b when b.hb_version = v ->
+let ensure_build (b : build) =
+  let v = Table.version b.bd_table in
+  match b.bd_index with
+  | Some (bv, idx) when bv = v ->
     stats.hash_build_reuses <- stats.hash_build_reuses + 1;
     Obs.Metrics.incr m_hash_build_reuses;
-    b.hb_tbl
+    idx
   | _ ->
     note_query ();
     stats.hash_builds <- stats.hash_builds + 1;
     Obs.Metrics.incr m_hash_builds;
-    (* pre-sized to the extent so no resize ever rehashes the whole
-       build; bucket lists are stored as values (probe sets are
-       frontier-sized, builds are extent-sized, so the build side is the
-       one to keep lean) *)
-    let keep row =
-      match hs.hs_pred with None -> true | Some p -> Value.is_true (Expr.eval_pred row p)
-    in
-    let n = max 64 (Table.cardinality hs.hs_table) in
-    let tbl =
-      if Array.length hs.hs_key_cols = 1 then begin
-        let kc = hs.hs_key_cols.(0) in
-        let t : (int, hash_entries) Hashtbl.t = Hashtbl.create n in
-        Table.iter
-          (fun rowid row ->
-            if keep row then begin
-              let enc = Table.enc hs.hs_table rowid in
-              let k = Dict.key_cell enc.(kc) in
-              if not (Dict.is_null k) then
-                Hashtbl.replace t k
-                  ((rowid, enc) :: (match Hashtbl.find_opt t k with Some l -> l | None -> []))
-            end)
-          hs.hs_table;
-        HB_single t
-      end
-      else begin
-        let t = Expr.Row_key_tbl.create n in
-        Table.iter
-          (fun rowid row ->
-            if keep row then begin
-              let enc = Table.enc hs.hs_table rowid in
-              let key = Array.map (fun i -> Dict.key_cell enc.(i)) hs.hs_key_cols in
-              if not (Expr.Row_key.has_null key) then
-                Expr.Row_key_tbl.replace t key
-                  ((rowid, enc)
-                  :: (match Expr.Row_key_tbl.find_opt t key with Some l -> l | None -> []))
-            end)
-          hs.hs_table;
-        HB_multi t
-      end
-    in
-    hs.hs_build <- Some { hb_version = v; hb_tbl = tbl };
-    tbl
+    let idx = Index.create ~name:(Table.name b.bd_table) ~cols:b.bd_cols Index.Hash in
+    Table.iter
+      (fun rowid row ->
+        if match b.bd_pred with None -> true | Some p -> Value.is_true (Expr.eval_pred row p)
+        then begin
+          let enc = Table.enc b.bd_table rowid in
+          if not (Array.exists (fun c -> Dict.is_null (Dict.key_cell enc.(c))) b.bd_cols) then
+            Index.insert_enc idx enc rowid
+        end)
+      b.bd_table;
+    b.bd_index <- Some (v, idx);
+    idx
 
-(* buckets come out most-recently-added first, i.e. reverse table order —
-   hit order within one probe is not part of the contract. [find] with
-   the [Not_found] match keeps the miss path allocation-free too. *)
-let probe_single (t : (int, hash_entries) Hashtbl.t) k : hash_entries =
-  if Dict.is_null k then []
-  else match Hashtbl.find t k with exception Not_found -> [] | l -> l
+let index_of = function Stored idx -> idx | Built b -> ensure_build b
 
-let probe_multi (t : hash_entries Expr.Row_key_tbl.t) (key : Expr.Row_key.t) : hash_entries =
-  if Expr.Row_key.has_null key then []
-  else match Expr.Row_key_tbl.find t key with exception Not_found -> [] | l -> l
+(* one lookup step: the probing row's [probe] columns against [chains] *)
+type hop = { h_probe : int array; h_chains : chains }
 
-(* key extraction from an encoded row: one-column keys probe with the
-   raw normalized id, composite keys refill a per-prober scratch array
-   (never retained by [Hashtbl.find]), so probing allocates nothing *)
-let mk_hash_probe (tbl : hash_tbl) (cols : int array) : Row.enc -> hash_entries =
-  match tbl with
-  | HB_single t ->
-    let c = cols.(0) in
-    fun row -> probe_single t (Dict.key_cell row.(c))
-  | HB_multi t ->
-    let scratch = Array.make (Array.length cols) 0 in
-    fun row ->
-      Array.iteri (fun i ci -> scratch.(i) <- Dict.key_cell row.(ci)) cols;
-      probe_multi t scratch
+type path = Direct of hop | Via_link of Table.t * hop * hop  (** parent -> link -> child *)
 
-(* fast-path delivery: emit every bucket entry, counting candidates —
-   top-level so the loop closes over nothing *)
-let rec emit_hits scanned (emit : emit) = function
-  | [] -> ()
-  | (rowid, enc) :: rest ->
-    incr scanned;
-    emit rowid enc empty_enc;
-    emit_hits scanned emit rest
+(* everything a probe reads that is fixed for one execution *)
+type probe_env = {
+  pe_child : Table.t;
+  pe_touch : bool;
+      (** stored chains read rows through [Table.get], which notifies the
+          touch hook; a build already scanned every row *)
+  pe_child_ok : Row.t -> bool;  (** the child predicate at probe time *)
+  pe_residual : Expr.t option;
+  pe_attrs : Row.t -> Row.enc;
+  pe_plain : bool;  (** no residual, no attributes: hits need no decoded row *)
+  pe_scanned : int ref;  (** candidate rows scanned, before residual filtering *)
+}
 
-(* try to build a batch-hash prober for [ed] — same contract as
-   [build_indexed_prober] (including the candidate-scan counter: bucket
-   sizes before residual filtering), but resolving matches through
-   version-cached hash builds instead of stored indexes, so it applies
-   to any equality-joined simple child. Builds/reuses happen when the
-   returned closure is applied to the EXECUTE-time [params] — once per
-   fetch. *)
-let build_hash_prober db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
-    ~(child : simple) : ((Value.t array -> prober) * int ref) option =
+let read pe tbl rowid = if pe.pe_touch then Table.get tbl rowid else Table.slot tbl rowid
+
+(* fill [key] with the normalized key ids of [row]'s [cols]; false when
+   one is NULL (NULL never joins) *)
+let key_ids key (row : Row.enc) cols =
+  let ok = ref true in
+  for i = 0 to Array.length cols - 1 do
+    let k = Dict.key_cell row.(cols.(i)) in
+    key.(i) <- k;
+    if Dict.is_null k then ok := false
+  done;
+  !ok
+
+(* deliver the child rows on [idx]'s chain for [key], from rowid [r] on;
+   [prefix] is the decoded parent row and [link_row] the link row (empty
+   on FK edges) the residual and attributes bind over *)
+let rec walk_children pe idx key prefix link_row (emit : emit) r =
+  if r >= 0 then begin
+    let nx = Index.next idx key r in
+    (match read pe pe.pe_child r with
+    | None -> ()
+    | Some base_row ->
+      incr pe.pe_scanned;
+      if pe.pe_child_ok base_row then
+        if pe.pe_plain then emit r (Table.enc pe.pe_child r) empty_enc
+        else begin
+          let concat = Row.concat prefix base_row in
+          let concat =
+            if Array.length link_row = 0 then concat else Row.concat concat link_row
+          in
+          let keep =
+            match pe.pe_residual with
+            | None -> true
+            | Some p -> Value.is_true (Expr.eval_pred concat p)
+          in
+          if keep then emit r (Table.enc pe.pe_child r) (pe.pe_attrs concat)
+        end);
+    walk_children pe idx key prefix link_row emit nx
+  end
+
+let rec walk_links pe link lidx lkey ckey ccols cidx prefix emit r =
+  if r >= 0 then begin
+    let nx = Index.next lidx lkey r in
+    (match read pe link r with
+    | None -> ()
+    | Some link_row ->
+      incr pe.pe_scanned;
+      if key_ids ckey (Table.enc link r) ccols then
+        walk_children pe cidx ckey prefix link_row emit (Index.first cidx ckey));
+    walk_links pe link lidx lkey ckey ccols cidx prefix emit nx
+  end
+
+(* the prober for [ed] along [path]: the concat schema residual
+   predicates and attributes bind over, then a function of the
+   EXECUTE-time parameter values that binds the slots once, resolves the
+   chains (building or reusing private ones) and yields the per-row
+   probe. The [int ref] counts candidate rows scanned (chain hits before
+   residual filtering, cumulative over the prober's lifetime) — the
+   observable the adaptive fallback compares against the plan's scan
+   estimate, since stale statistics cannot show a skewed bucket but the
+   counter does. *)
+let chain_prober db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t) ~(child : simple)
+    ~residual (path : path) : (Value.t array -> prober) * int ref =
   let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-  let child_base_schema = Table.schema child.s_table in
-  let conjuncts = edge_conjuncts ed in
-  let bind_residual, no_attrs, specialize = prober_ctx db ed ~parent_schema ~child in
-  (* a parameter-free child predicate filters at BUILD time, so probes
-     skip per-candidate predicate evaluation (and the decode it needs);
-     a parameterized one must stay at probe time *)
+  let concat_schema =
+    let base =
+      Schema.concat (Schema.requalify pa parent_schema)
+        (Schema.requalify ca (Table.schema child.s_table))
+    in
+    match ed.Co_schema.ed_using, path with
+    | Some (_, a), Via_link (link, _, _) ->
+      Schema.concat base (Schema.requalify a (Table.schema link))
+    | _ -> base
+  in
+  let env = Db.bind_env db in
+  let residual0 =
+    match residual with
+    | [] -> None
+    | c :: cs ->
+      Some
+        (Binder.bind_expr env concat_schema
+           (List.fold_left (fun a c -> Sql_ast.E_and (a, c)) c cs))
+  in
+  let attr_fns =
+    List.map (fun (e, _) -> Binder.bind_expr env concat_schema e) ed.Co_schema.ed_attrs
+  in
+  let child_hop = match path with Direct h | Via_link (_, _, h) -> h in
+  (* a build folds the child predicate in unless it is parameterized *)
+  let probe_pred =
+    match child_hop.h_chains with Built { bd_pred = Some _; _ } -> None | _ -> child.s_pred
+  in
+  let scanned = ref 0 in
+  ( (fun params ->
+      let sub e = if Array.length params = 0 then e else Expr.subst_params params e in
+      let afns = List.map sub attr_fns in
+      let residual = Option.map sub residual0 in
+      let child_ok =
+        match Option.map sub probe_pred with
+        | None -> fun _ -> true
+        | Some p -> fun base_row -> Value.is_true (Expr.eval_pred base_row p)
+      in
+      let pe =
+        { pe_child = child.s_table;
+          pe_touch = (match child_hop.h_chains with Stored _ -> true | Built _ -> false);
+          pe_child_ok = child_ok; pe_residual = residual;
+          pe_attrs = (fun concat -> Row.encode (Array.of_list (List.map (Expr.eval concat) afns)));
+          pe_plain = residual = None && ed.Co_schema.ed_attrs = []; pe_scanned = scanned }
+      in
+      (* per-prober key scratch, refilled per probe; a chain walk never
+         retains it *)
+      let scratch h = Array.make (Array.length h.h_probe) 0 in
+      let decode parent_row = if pe.pe_plain then [||] else Row.decode parent_row in
+      match path with
+      | Direct h ->
+        let idx = index_of h.h_chains and key = scratch h in
+        fun parent_row emit ->
+          if key_ids key parent_row h.h_probe then
+            walk_children pe idx key (decode parent_row) [||] emit (Index.first idx key)
+      | Via_link (link, lh, ch) ->
+        let lidx = index_of lh.h_chains and cidx = index_of ch.h_chains in
+        let lkey = scratch lh and ckey = scratch ch in
+        fun parent_row emit ->
+          if key_ids lkey parent_row lh.h_probe then
+            walk_links pe link lidx lkey ckey ch.h_probe cidx (decode parent_row) emit
+              (Index.first lidx lkey)),
+    scanned )
+
+(* the prober [strategy] compiles to for an edge with a simple child, if
+   it can serve the edge: FK [S_indexed] needs one key pair with a stored
+   one-column index on the child (the other pairs join the residual), FK
+   [S_hash] keys on every pair; USING needs pairs on both hops, stored
+   indexes on both for [S_indexed]. *)
+let build_prober db ed ~parent_schema ~(child : simple) (ek : edge_keys) strategy =
+  let hop ps chains = { h_probe = probe_cols ps; h_chains = chains } in
+  let build tbl ps pred =
+    Built { bd_table = tbl; bd_cols = key_cols ps; bd_pred = pred; bd_index = None }
+  in
   let build_pred =
     match child.s_pred with Some p when not (Expr.has_param p) -> Some p | _ -> None
   in
-  let probe_pred = if build_pred = None then child.s_pred else None in
-  match ed.Co_schema.ed_using with
-  | None -> begin
-    (* FK form: every equality parent.a = child.b joins the key *)
-    let classify (q, n) =
-      if qual_is pa q then
-        Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-      else if qual_is ca q then
-        Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-      else None
-    in
-    let pairs = ref [] and residual = ref [] in
-    List.iter
-      (fun c ->
-        match c with
-        | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
-          match classify (qa, na), classify (qb, nb) with
-          | Some (`Parent p), Some (`Child ch) | Some (`Child ch), Some (`Parent p) ->
-            pairs := (p, ch) :: !pairs
-          | _ -> residual := c :: !residual
-        end
-        | c -> residual := c :: !residual)
-      conjuncts;
-    match List.rev !pairs with
-    | [] -> None
-    | pairs ->
-      let parent_cols = Array.of_list (List.map fst pairs) in
-      let source =
-        { hs_table = child.s_table; hs_key_cols = Array.of_list (List.map snd pairs);
-          hs_pred = build_pred; hs_build = None }
-      in
-      let residual0 = bind_residual (List.rev !residual) in
-      let scanned = ref 0 in
-      Some
-        ( (fun params ->
-            let sub, eval_attrs, child_ok = specialize params in
-            let child_ok = if probe_pred = None then fun _ -> true else child_ok in
-            let residual = Option.map sub residual0 in
-            let probe_k = mk_hash_probe (ensure_build source) parent_cols in
-            if residual = None && no_attrs && probe_pred = None then
-              (* fast path: nothing reads any decoded row — one hash
-                 find, then emit the stored bucket as-is *)
-              fun parent_row emit -> emit_hits scanned emit (probe_k parent_row)
-            else
-              fun parent_row emit ->
-                let cands = probe_k parent_row in
-                if cands <> [] then begin
-                  let parent_dec =
-                    if residual <> None || not no_attrs then Row.decode parent_row else [||]
-                  in
-                  List.iter
-                    (fun (rowid, enc) ->
-                      incr scanned;
-                      let base_row = Row.decode enc in
-                      if child_ok base_row then begin
-                        if residual = None && no_attrs then emit rowid enc empty_enc
-                        else begin
-                          let concat = Row.concat parent_dec base_row in
-                          let keep =
-                            match residual with
-                            | None -> true
-                            | Some p -> Value.is_true (Expr.eval_pred concat p)
-                          in
-                          if keep then emit rowid enc (eval_attrs concat)
-                        end
-                      end)
-                    cands
-                end),
-          scanned )
-  end
-  | Some (link_name, la) -> begin
-    match Catalog.table_opt (Db.catalog db) link_name with
-    | None -> err "[XNF005] relationship %s: USING table %s does not exist" ed.Co_schema.ed_name link_name
-    | Some link -> begin
-      let link_schema = Table.schema link in
-      let la = String.lowercase_ascii la in
-      let classify (q, n) =
-        if qual_is pa q then Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-        else if qual_is ca q then
-          Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-        else if qual_is la q then Option.map (fun i -> `Link i) (Schema.find_opt link_schema n)
-        else None
-      in
-      let parent_bind = ref [] and child_bind = ref [] and residual = ref [] in
-      List.iter
-        (fun c ->
-          match c with
-          | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
-            match classify (qa, na), classify (qb, nb) with
-            | Some (`Link l), Some (`Parent p) | Some (`Parent p), Some (`Link l) ->
-              parent_bind := (l, p) :: !parent_bind
-            | Some (`Link l), Some (`Child ch) | Some (`Child ch), Some (`Link l) ->
-              child_bind := (l, ch) :: !child_bind
-            | _ -> residual := c :: !residual
-          end
-          | c -> residual := c :: !residual)
-        conjuncts;
-      let parent_bind = List.rev !parent_bind and child_bind = List.rev !child_bind in
-      if parent_bind = [] || child_bind = [] then None
-      else begin
-        let parent_cols = Array.of_list (List.map snd parent_bind) in
-        let link_ccols = Array.of_list (List.map fst child_bind) in
-        let link_source =
-          { hs_table = link; hs_key_cols = Array.of_list (List.map fst parent_bind);
-            hs_pred = None; hs_build = None }
-        in
-        let child_source =
-          { hs_table = child.s_table; hs_key_cols = Array.of_list (List.map snd child_bind);
-            hs_pred = build_pred; hs_build = None }
-        in
-        let residual0 = bind_residual (List.rev !residual) in
-        let scanned = ref 0 in
+  let path =
+    match strategy, ek.ek_link with
+    | S_generic, _ -> None
+    | S_indexed, None ->
+      List.find_map
+        (fun p ->
+          Option.map
+            (fun idx ->
+              ( Direct (hop [ p ] (Stored idx)),
+                List.filter (fun c -> c != p.kp_conj) ek.ek_conjuncts ))
+            (Table.find_index child.s_table ~cols:[| p.kp_key |]))
+        ek.ek_parent
+    | S_hash, None ->
+      if ek.ek_parent = [] then None
+      else
         Some
-          ( (fun params ->
-              let sub, eval_attrs, child_ok = specialize params in
-              let child_ok = if probe_pred = None then fun _ -> true else child_ok in
-              let residual = Option.map sub residual0 in
-              let probe_l = mk_hash_probe (ensure_build link_source) parent_cols in
-              let probe_c = mk_hash_probe (ensure_build child_source) link_ccols in
-              if residual = None && no_attrs && probe_pred = None then
-                fun parent_row emit ->
-                  let rec go = function
-                    | [] -> ()
-                    | (_, link_enc) :: rest ->
-                      incr scanned;
-                      emit_hits scanned emit (probe_c link_enc);
-                      go rest
-                  in
-                  go (probe_l parent_row)
-              else
-                fun parent_row emit ->
-                  let links = probe_l parent_row in
-                  if links <> [] then begin
-                    let parent_dec =
-                      if residual <> None || not no_attrs then Row.decode parent_row else [||]
-                    in
-                    List.iter
-                      (fun (_, link_enc) ->
-                        incr scanned;
-                        let cands = probe_c link_enc in
-                        if cands <> [] then begin
-                          let link_row =
-                            if residual <> None || not no_attrs then Row.decode link_enc else [||]
-                          in
-                          List.iter
-                            (fun (rowid, enc) ->
-                              incr scanned;
-                              let base_row = Row.decode enc in
-                              if child_ok base_row then begin
-                                if residual = None && no_attrs then emit rowid enc empty_enc
-                                else begin
-                                  let concat =
-                                    Row.concat (Row.concat parent_dec base_row) link_row
-                                  in
-                                  let keep =
-                                    match residual with
-                                    | None -> true
-                                    | Some p -> Value.is_true (Expr.eval_pred concat p)
-                                  in
-                                  if keep then emit rowid enc (eval_attrs concat)
-                                end
-                              end)
-                            cands
-                        end)
-                      links
-                  end),
-            scanned )
-      end
+          (Direct (hop ek.ek_parent (build child.s_table ek.ek_parent build_pred)), ek.ek_residual)
+    | _, Some _ when ek.ek_parent = [] || ek.ek_child = [] -> None
+    | S_indexed, Some link -> begin
+      match
+        ( Table.find_index link ~cols:(key_cols ek.ek_parent),
+          Table.find_index child.s_table ~cols:(key_cols ek.ek_child) )
+      with
+      | Some l, Some c ->
+        Some
+          ( Via_link (link, hop ek.ek_parent (Stored l), hop ek.ek_child (Stored c)),
+            ek.ek_residual )
+      | _ -> None
     end
-  end
+    | S_hash, Some link ->
+      Some
+        ( Via_link
+            ( link,
+              hop ek.ek_parent (build link ek.ek_parent None),
+              hop ek.ek_child (build child.s_table ek.ek_child build_pred) ),
+          ek.ek_residual )
+  in
+  Option.map (fun (path, residual) -> chain_prober db ed ~parent_schema ~child ~residual path) path
 
 (* the generic join tree for an edge, over [__tid]-bearing temps *)
 let edge_tree db (ed : Co_schema.edge_def) ~parent_temp ~child_temp =
@@ -896,17 +669,10 @@ let edge_tree db (ed : Co_schema.edge_def) ~parent_temp ~child_temp =
   let pred = Binder.bind_expr (Db.bind_env db) schema ed.Co_schema.ed_pred in
   (Qgm.Select { input = tree; pred }, schema)
 
-let probe_edge_generic db (ed : Co_schema.edge_def) ~parent_temp ~child_temp : int list =
-  let tree, schema = edge_tree db ed ~parent_temp ~child_temp in
-  let c_tid = Schema.find schema ~qualifier:ed.Co_schema.ed_child_alias "__tid" in
-  let qgm = Qgm.Project { input = tree; cols = [ (Expr.Col c_tid, tid_column) ] } in
-  run_query db qgm |> Seq.map (fun row -> Value.as_int row.(0)) |> List.of_seq
-
-(* fused form of the per-round generic probe: one query yields the reached
-   child tids AND the connection payload (parent tid, child tid,
-   relationship attributes), so no second full join is needed after the
-   fixpoint *)
-let probe_edge_generic_fused db (ed : Co_schema.edge_def) ~parent_temp ~child_temp :
+(* the per-round generic probe: one query yields the reached child tids
+   AND the connection payload (parent tid, child tid, relationship
+   attributes), so no second full join is needed after the fixpoint *)
+let generic_batch db (ed : Co_schema.edge_def) ~parent_temp ~child_temp :
     (int * int * Row.t) list =
   let tree, schema = edge_tree db ed ~parent_temp ~child_temp in
   let p_tid = Schema.find schema ~qualifier:ed.Co_schema.ed_parent_alias "__tid" in
@@ -926,31 +692,6 @@ let probe_edge_generic_fused db (ed : Co_schema.edge_def) ~parent_temp ~child_te
   |> Seq.map (fun row ->
          (Value.as_int row.(0), Value.as_int row.(1), Array.sub row 2 (Array.length row - 2)))
   |> List.of_seq
-
-let connections_generic db (ed : Co_schema.edge_def) ~parent_temp ~child_temp :
-    Schema.t * (int * int * Row.t) list =
-  let tree, schema = edge_tree db ed ~parent_temp ~child_temp in
-  let p_tid = Schema.find schema ~qualifier:ed.Co_schema.ed_parent_alias "__tid" in
-  let c_tid = Schema.find schema ~qualifier:ed.Co_schema.ed_child_alias "__tid" in
-  let env = Db.bind_env db in
-  let attr_cols =
-    List.map
-      (fun (e, name) ->
-        let bound = Binder.bind_expr env schema e in
-        let ty = Binder.infer_ty env schema bound in
-        (bound, Schema.column name ty))
-      ed.Co_schema.ed_attrs
-  in
-  let cols = (Expr.Col p_tid, tid_column) :: (Expr.Col c_tid, tid_column) :: attr_cols in
-  let qgm = Qgm.Project { input = tree; cols } in
-  let attr_schema = Schema.make (List.map snd attr_cols) in
-  let conns =
-    run_query db qgm
-    |> Seq.map (fun row ->
-           (Value.as_int row.(0), Value.as_int row.(1), Array.sub row 2 (Array.length row - 2)))
-    |> List.of_seq
-  in
-  (attr_schema, conns)
 
 (* attribute output schema, shared by both probe paths *)
 let attr_schema_of db (ed : Co_schema.edge_def) ~parent_schema ~child_schema =
@@ -977,8 +718,8 @@ let attr_schema_of db (ed : Co_schema.edge_def) ~parent_schema ~child_schema =
 
    The join structure of each relationship — which base table the child
    resolves to, which equality columns form the join key on either side,
-   whether an index serves the probe today — extracted with the same
-   conjunct classification the probers use. Shapes carry no closures or
+   whether an index serves the probe today — read from the same key
+   classification ([classify_keys]) the probers are built from. Shapes carry no closures or
    data, only names: they exist for post-compile analysis (the static
    plan advisor) which must reason about a plan without executing it. *)
 
@@ -1005,97 +746,32 @@ type node_shape = Edge_cost.node_shape = {
 
 let col_name schema i = (Schema.col schema i).Schema.col_name
 
-let edge_shape_of db (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
-    ~(child : simple option) ~strategy : edge_shape =
+let edge_shape_of (ed : Co_schema.edge_def) ~(parent_schema : Schema.t)
+    ~(child : (simple * edge_keys) option) ~indexed ~strategy : edge_shape =
   let base =
     { es_name = ed.Co_schema.ed_name; es_parent = ed.Co_schema.ed_parent;
       es_child = ed.Co_schema.ed_child; es_strategy = strategy; es_child_table = None;
-      es_parent_cols = []; es_child_cols = []; es_using = None; es_indexed = false;
+      es_parent_cols = []; es_child_cols = []; es_using = None; es_indexed = indexed;
       es_residual = false }
   in
   match child with
   | None -> base
-  | Some child -> begin
-    let pa = ed.Co_schema.ed_parent_alias and ca = ed.Co_schema.ed_child_alias in
-    let child_base_schema = Table.schema child.s_table in
-    let conjuncts = edge_conjuncts ed in
-    let base = { base with es_child_table = Some (Table.name child.s_table) } in
-    match ed.Co_schema.ed_using with
-    | None ->
-      (* FK form: every equality parent.a = child.b joins the key (the
-         hash prober's view); indexed needs one such pair with an index *)
-      let classify (q, n) =
-        if qual_is pa q then Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-        else if qual_is ca q then
-          Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-        else None
-      in
-      let pairs = ref [] and residual = ref [] in
-      List.iter
-        (fun c ->
-          match c with
-          | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
-            match classify (qa, na), classify (qb, nb) with
-            | Some (`Parent p), Some (`Child ch) | Some (`Child ch), Some (`Parent p) ->
-              pairs := (p, ch) :: !pairs
-            | _ -> residual := c :: !residual
-          end
-          | c -> residual := c :: !residual)
-        conjuncts;
-      let pairs = List.rev !pairs in
-      let indexed =
-        List.exists
-          (fun (_, ch) -> Table.find_index child.s_table ~cols:[| ch |] <> None)
-          pairs
-      in
+  | Some (child, ek) ->
+    let names schema f ps = List.map (fun p -> col_name schema (f p)) ps in
+    let key p = p.kp_key and probe p = p.kp_probe in
+    let child_schema = Table.schema child.s_table in
+    let base =
       { base with
-        es_parent_cols = List.map (fun (p, _) -> col_name parent_schema p) pairs;
-        es_child_cols = List.map (fun (_, ch) -> col_name child_base_schema ch) pairs;
-        es_indexed = indexed;
-        es_residual = !residual <> [] }
-    | Some (link_name, la) -> begin
-      match Catalog.table_opt (Db.catalog db) link_name with
-      | None -> base
-      | Some link ->
-        let link_schema = Table.schema link in
-        let la = String.lowercase_ascii la in
-        let classify (q, n) =
-          if qual_is pa q then Option.map (fun i -> `Parent i) (Schema.find_opt parent_schema n)
-          else if qual_is ca q then
-            Option.map (fun i -> `Child i) (Schema.find_opt child_base_schema n)
-          else if qual_is la q then Option.map (fun i -> `Link i) (Schema.find_opt link_schema n)
-          else None
-        in
-        let parent_bind = ref [] and child_bind = ref [] and residual = ref [] in
-        List.iter
-          (fun c ->
-            match c with
-            | Sql_ast.E_cmp (Expr.Eq, Sql_ast.E_col (qa, na), Sql_ast.E_col (qb, nb)) -> begin
-              match classify (qa, na), classify (qb, nb) with
-              | Some (`Link l), Some (`Parent p) | Some (`Parent p), Some (`Link l) ->
-                parent_bind := (l, p) :: !parent_bind
-              | Some (`Link l), Some (`Child ch) | Some (`Child ch), Some (`Link l) ->
-                child_bind := (l, ch) :: !child_bind
-              | _ -> residual := c :: !residual
-            end
-            | c -> residual := c :: !residual)
-          conjuncts;
-        let parent_bind = List.rev !parent_bind and child_bind = List.rev !child_bind in
-        let indexed =
-          parent_bind <> [] && child_bind <> []
-          && Table.find_index link ~cols:(Array.of_list (List.map fst parent_bind)) <> None
-          && Table.find_index child.s_table ~cols:(Array.of_list (List.map snd child_bind))
-             <> None
-        in
-        { base with
-          es_parent_cols = List.map (fun (_, p) -> col_name parent_schema p) parent_bind;
-          es_child_cols = List.map (fun (_, ch) -> col_name child_base_schema ch) child_bind;
-          es_using =
-            Some (Table.name link, List.map (fun (l, _) -> col_name link_schema l) parent_bind);
-          es_indexed = indexed;
-          es_residual = !residual <> [] }
-    end
-  end
+        es_child_table = Some (Table.name child.s_table);
+        es_parent_cols = names parent_schema probe ek.ek_parent;
+        es_residual = ek.ek_residual <> [] }
+    in
+    match ek.ek_link with
+    | None -> { base with es_child_cols = names child_schema key ek.ek_parent }
+    | Some link ->
+      { base with
+        es_child_cols = names child_schema key ek.ek_child;
+        es_using = Some (Table.name link, names (Table.schema link) key ek.ek_parent) }
 
 (* base tables a SELECT depends on (for staleness tracking) *)
 let rec tables_of_select catalog (q : Sql_ast.select) : string list =
@@ -1266,29 +942,32 @@ let compile_def ?(take = Xnf_ast.Take_star) ?force db (def : Co_schema.t) : comp
     List.map
       (fun (ed : Co_schema.edge_def) ->
         let parent = node ed.Co_schema.ed_parent and child = node ed.Co_schema.ed_child in
-        let try_prober build =
-          match child.np_simple with
-          | None -> None
-          | Some c ->
-            Option.map
-              (fun (f, scanned) ->
-                let attr_schema =
-                  attr_schema_of db ed ~parent_schema:parent.np_schema
-                    ~child_schema:(Table.schema c.s_table)
-                in
-                { bp_schema = attr_schema; bp_fn = f; bp_scanned = scanned })
-              (build db ed ~parent_schema:parent.np_schema ~child:c)
+        let keyed =
+          Option.map
+            (fun c -> (c, classify_keys db ed ~parent_schema:parent.np_schema ~child:c))
+            child.np_simple
+        in
+        let try_prober strategy =
+          Option.bind keyed (fun (c, ek) ->
+              Option.map
+                (fun (f, scanned) ->
+                  let attr_schema =
+                    attr_schema_of db ed ~parent_schema:parent.np_schema
+                      ~child_schema:(Table.schema c.s_table)
+                  in
+                  { bp_schema = attr_schema; bp_fn = f; bp_scanned = scanned })
+                (build_prober db ed ~parent_schema:parent.np_schema ~child:c ek strategy))
         in
         let cands =
-          { ec_indexed = try_prober build_indexed_prober;
-            ec_hash = try_prober build_hash_prober;
+          { ec_indexed = try_prober S_indexed;
+            ec_hash = try_prober S_hash;
             ec_generic_schema =
               attr_schema_of db ed ~parent_schema:parent.np_schema
                 ~child_schema:child.np_schema }
         in
         let shape =
-          edge_shape_of db ed ~parent_schema:parent.np_schema ~child:child.np_simple
-            ~strategy:S_generic
+          edge_shape_of ed ~parent_schema:parent.np_schema ~child:keyed
+            ~indexed:(cands.ec_indexed <> None) ~strategy:S_generic
         in
         (ed, cands, shape))
       def.Co_schema.co_edges
@@ -1494,7 +1173,7 @@ let root_point_lookup (s : simple) : int list option =
         | None -> []
         | Some k ->
           let hits = ref [] in
-          Index.iter_id idx k (fun rowid -> hits := rowid :: !hits);
+          Index.iter_ids idx [| k |] (fun rowid -> hits := rowid :: !hits);
           List.sort Int.compare !hits)
       (List.find_map indexed (conjuncts [] p))
 
@@ -1542,15 +1221,15 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
           ed_attrs = List.map (fun (e, n) -> (sub_expr e, n)) ed.Co_schema.ed_attrs })
       def.Co_schema.co_edges
   in
-  (* under the semi-naive fixpoint every live parent position is probed
-     exactly once per edge, so connection production fuses into the
-     reachability pass (per-edge accumulators read out afterwards). The
-     naive ablation re-probes parents every round and keeps the legacy
-     two-phase shape. *)
-  let fused = fixpoint = Semi_naive in
-  (* fused connection production fills the cache's struct-of-arrays
-     buffers directly — two int pushes per match, attribute rows only on
-     edges that declare them; the readout adopts the buffers wholesale *)
+  (* connection production is fused into the reachability pass: under the
+     semi-naive fixpoint every parent position is probed exactly once per
+     edge, so each edge's buffer ends up holding its connections. The
+     naive ablation re-probes every parent each round and empties the
+     buffers first; its final round creates no tuple, so it re-probes
+     every parent and leaves exactly the full connection set. The buffers
+     are the cache's struct-of-arrays — two int pushes per match,
+     attribute rows only on edges that declare them; the readout adopts
+     them wholesale *)
   let conn_bufs : (string * Cache.conns) list =
     List.map
       (fun (ed : Co_schema.edge_def) ->
@@ -1561,18 +1240,6 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
       def.Co_schema.co_edges
   in
   let buf_of name = List.assoc name conn_bufs in
-  (* phase allocation accounting, env-gated; [Gc.minor] drains the minor
-     heap so [Gc.allocated_bytes] is exact, not quantized *)
-  let dbg_alloc = Sys.getenv_opt "XNF_ALLOC_DEBUG" <> None in
-  let dbg_mark = ref (if dbg_alloc then (Gc.minor (); Gc.allocated_bytes ()) else 0.) in
-  let dbg phase =
-    if dbg_alloc then begin
-      Gc.minor ();
-      let now = Gc.allocated_bytes () in
-      Printf.eprintf "[alloc] %-12s %10.0f bytes\n%!" phase (now -. !dbg_mark);
-      dbg_mark := now
-    end
-  in
   (* 3–5 run under the "cache-fill" span: roots, reachability fixpoint,
      connection extents *)
   let edges =
@@ -1616,7 +1283,6 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
   in
   let rt_edge name = List.assoc name edge_rts in
   (* 3. roots: set-oriented evaluation of the derivations *)
-  dbg "setup";
   Obs.Trace.with_span "roots" (fun () ->
       List.iter
         (fun (nd : Co_schema.node_def) ->
@@ -1649,7 +1315,6 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
               x.x_rows);
           Obs.Trace.add_meta "rows" (string_of_int (Cache.live_count r.nr_ni)))
         (Co_schema.roots def));
-  dbg "roots";
   (* 4. reachability: semi-naive (or naive) fixpoint *)
   (* prober hits deliver the child's encoded BASE row; project to the
      node's output columns only when the tuple is first materialized. An
@@ -1772,78 +1437,61 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
     stats.fixpoint_rounds <- stats.fixpoint_rounds + 1;
     Obs.Metrics.incr m_rounds;
     (* snapshot this round's slice per node; tuples created during the
-       round land beyond [nr_limit] and become the next round's slice *)
+       round land beyond [nr_limit] and become the next round's slice. The
+       naive ablation starts every round from position 0 and empties the
+       connection buffers. *)
     List.iter
       (fun (_, r) ->
-        r.nr_mark <- r.nr_limit;
+        r.nr_mark <- (match fixpoint with Semi_naive -> r.nr_limit | Naive -> 0);
         r.nr_limit <- Vec.length r.nr_ni.Cache.ni_tuples)
       nodes_rt;
+    if fixpoint = Naive then List.iter (fun (_, buf) -> buf.Cache.cs_len <- 0) conn_bufs;
     List.iter
       (fun (ed : Co_schema.edge_def) ->
         let parent_rt = rt ed.Co_schema.ed_parent and child_rt = rt ed.Co_schema.ed_child in
-        (* naive ablation: re-probe every live parent each round through
-           the legacy list-shaped path *)
-        let naive_set =
+        (* a naive round probes every parent present when the edge runs,
+           including those earlier edges reached this round *)
+        let limit =
           match fixpoint with
-          | Semi_naive -> []
-          | Naive ->
-            List.filter_map
-              (fun t -> if t.Cache.t_live then Some t.Cache.t_pos else None)
-              (List.of_seq (Vec.to_seq parent_rt.nr_ni.Cache.ni_tuples))
+          | Semi_naive -> parent_rt.nr_limit
+          | Naive -> Vec.length parent_rt.nr_ni.Cache.ni_tuples
         in
-        let n_probes =
-          match fixpoint with
-          | Semi_naive -> parent_rt.nr_limit - parent_rt.nr_mark
-          | Naive -> List.length naive_set
-        in
+        let n_probes = limit - parent_rt.nr_mark in
         if n_probes > 0 then begin
           stats.tuples_probed <- stats.tuples_probed + n_probes;
           Obs.Metrics.incr ~by:n_probes m_tuples_probed;
           let er = rt_edge ed.Co_schema.ed_name in
           er.er_probed <- er.er_probed + n_probes;
-          let iter_probe_set f =
-            match fixpoint with
-            | Semi_naive ->
-              for pos = parent_rt.nr_mark to parent_rt.nr_limit - 1 do
-                f pos
-              done
-            | Naive -> List.iter f naive_set
-          in
-          let probe_batch probe =
-            note_query ();
-            let buf = buf_of ed.Co_schema.ed_name in
-            let proj = child_proj child_rt in
-            (* one emit closure per batch (not per frontier row): the
-               current parent position threads through a mutable cell *)
-            let cur = ref 0 in
-            let on_hit rowid enc attrs =
-              let cpos, is_new = add_child child_rt proj rowid enc in
-              if fused then begin
-                ignore (Cache.push_conn buf ~parent:!cur ~child:cpos ~attrs);
-                er.er_conns <- er.er_conns + 1
-              end;
-              if is_new then changed := true
-            in
-            iter_probe_set (fun pos ->
-                cur := pos;
-                probe (Cache.tuple parent_rt.nr_ni pos).Cache.t_row on_hit)
-          in
+          let buf = buf_of ed.Co_schema.ed_name in
           match er.er_probe with
           | Some probe ->
             if er.er_serving = S_hash then begin
               stats.hash_probes <- stats.hash_probes + 1;
               Obs.Metrics.incr m_hash_probes
             end;
-            probe_batch probe
+            note_query ();
+            let proj = child_proj child_rt in
+            (* one emit closure per batch (not per frontier row): the
+               current parent position threads through a mutable cell *)
+            let cur = ref 0 in
+            let on_hit rowid enc attrs =
+              let cpos, is_new = add_child child_rt proj rowid enc in
+              ignore (Cache.push_conn buf ~parent:!cur ~child:cpos ~attrs);
+              er.er_conns <- er.er_conns + 1;
+              if is_new then changed := true
+            in
+            for pos = parent_rt.nr_mark to limit - 1 do
+              cur := pos;
+              probe (Cache.tuple parent_rt.nr_ni pos).Cache.t_row on_hit
+            done
           | None ->
             let child_temp = ensure_temp db child_rt in
-            let probe_rows =
-              let acc = ref [] in
-              iter_probe_set (fun pos ->
-                  acc := (pos, (Cache.tuple parent_rt.nr_ni pos).Cache.t_row) :: !acc);
-              List.rev !acc
+            let parent_temp =
+              make_temp ~node:ed.Co_schema.ed_parent parent_rt.nr_ni.Cache.ni_schema
+                (Seq.map
+                   (fun pos -> (pos, (Cache.tuple parent_rt.nr_ni pos).Cache.t_row))
+                   (Seq.init n_probes (fun i -> parent_rt.nr_mark + i)))
             in
-            let parent_temp = make_temp parent_rt.nr_ni.Cache.ni_schema (List.to_seq probe_rows) in
             let x () = Option.get child_rt.nr_extent in
             (* child position for an extent tid, creating the tuple on
                first reach; dedupes by rowid too, in case another
@@ -1867,23 +1515,18 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
                 pos
               end
             in
-            if fused then begin
-              let buf = buf_of ed.Co_schema.ed_name in
-              List.iter
-                (fun (ppos, tid, attrs) ->
-                  ignore
-                    (Cache.push_conn buf ~parent:ppos ~child:(pos_of_tid tid)
-                       ~attrs:(Row.encode attrs));
-                  er.er_conns <- er.er_conns + 1)
-                (probe_edge_generic_fused db ed ~parent_temp ~child_temp)
-            end
-            else
-              List.iter
-                (fun tid -> ignore (pos_of_tid tid))
-                (probe_edge_generic db ed ~parent_temp ~child_temp)
+            List.iter
+              (fun (ppos, tid, attrs) ->
+                ignore
+                  (Cache.push_conn buf ~parent:ppos ~child:(pos_of_tid tid)
+                     ~attrs:(Row.encode attrs));
+                er.er_conns <- er.er_conns + 1)
+              (generic_batch db ed ~parent_temp ~child_temp)
         end)
       edge_defs;
-    if fused && !changed && adaptive_enabled () && cp.cp_force = None && cp.cp_ests <> [] then
+    if fixpoint = Semi_naive && !changed && adaptive_enabled () && cp.cp_force = None
+       && cp.cp_ests <> []
+    then
       adaptive_check !round
   done
   in
@@ -1891,74 +1534,28 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
       let round0 = stats.fixpoint_rounds in
       run_fixpoint ();
       Obs.Trace.add_meta "rounds" (string_of_int (stats.fixpoint_rounds - round0)));
-  dbg "fixpoint";
-  (* 5. connection extents over the reached instance. Under the
-     semi-naive fixpoint the matches were already produced during
-     reachability — this is a readout of the per-edge accumulators, no
-     further query runs. The naive ablation recomputes them from the full
-     reached sets (its fixpoint probes parents repeatedly, so accumulation
-     would duplicate). *)
-  let edges =
-    Obs.Trace.with_span "connections" @@ fun () ->
-    List.map
-      (fun (ed : Co_schema.edge_def) ->
-        Obs.Trace.with_span ("edge:" ^ ed.Co_schema.ed_name) @@ fun () ->
-        let parent_rt = rt ed.Co_schema.ed_parent and child_rt = rt ed.Co_schema.ed_child in
-        (* adopt the buffer wholesale as the edge's connection store —
-           zero-copy; the fused fixpoint filled it in delivery order *)
-        let ei_of attr_schema (cs : Cache.conns) =
-          let ei =
-            { Cache.ei_name = ed.Co_schema.ed_name; ei_parent = ed.Co_schema.ed_parent;
-              ei_child = ed.Co_schema.ed_child; ei_parent_node = parent_rt.nr_ni;
-              ei_child_node = child_rt.nr_ni; ei_attr_schema = attr_schema; ei_conns = cs;
-              ei_adj = None; ei_upd = Semantic.Upd_readonly "pending analysis" }
-          in
-          Obs.Trace.add_meta "conns" (string_of_int cs.Cache.cs_len);
-          (ed.Co_schema.ed_name, ei)
-        in
-        let er = rt_edge ed.Co_schema.ed_name in
-        let attr_schema =
-          match er.er_bp with
-          | Some bp -> bp.bp_schema
-          | None -> er.er_plan.ep_cands.ec_generic_schema
-        in
-        if fused then ei_of attr_schema (buf_of ed.Co_schema.ed_name)
-        else begin
-          let has_attrs = ed.Co_schema.ed_attrs <> [] in
-          match er.er_probe with
-          | Some probe ->
-            note_query ();
-            let cs = Cache.make_conns ~attrs:has_attrs () in
-            Vec.iter
-              (fun t ->
-                if t.Cache.t_live then
-                  probe t.Cache.t_row (fun rowid _enc attrs ->
-                      let child_pos = Cache.pos_of_rowid child_rt.nr_ni rowid in
-                      if child_pos >= 0 then
-                        ignore (Cache.push_conn cs ~parent:t.Cache.t_pos ~child:child_pos ~attrs)))
-              parent_rt.nr_ni.Cache.ni_tuples;
-            ei_of attr_schema cs
-          | None ->
-            let temp_of rt_ =
-              make_temp rt_.nr_ni.Cache.ni_schema
-                (Vec.to_seq rt_.nr_ni.Cache.ni_tuples
-                |> Seq.filter (fun t -> t.Cache.t_live)
-                |> Seq.map (fun t -> (t.Cache.t_pos, t.Cache.t_row)))
-            in
-            let attr_schema, conns =
-              connections_generic db ed ~parent_temp:(temp_of parent_rt)
-                ~child_temp:(temp_of child_rt)
-            in
-            let cs = Cache.make_conns ~attrs:has_attrs () in
-            List.iter
-              (fun (p, c, a) -> ignore (Cache.push_conn cs ~parent:p ~child:c ~attrs:(Row.encode a)))
-              conns;
-            ei_of attr_schema cs
-        end)
-      edge_defs
-  in
-  dbg "connections";
-  edges
+  (* 5. connection extents over the reached instance: the matches were
+     already produced during reachability, so this is a readout of the
+     per-edge buffers — no further query runs. *)
+  Obs.Trace.with_span "connections" @@ fun () ->
+  List.map
+    (fun (ed : Co_schema.edge_def) ->
+      Obs.Trace.with_span ("edge:" ^ ed.Co_schema.ed_name) @@ fun () ->
+      let er = rt_edge ed.Co_schema.ed_name in
+      let cs = buf_of ed.Co_schema.ed_name in
+      Obs.Trace.add_meta "conns" (string_of_int cs.Cache.cs_len);
+      (* adopt the buffer wholesale as the edge's connection store —
+         zero-copy; the fixpoint filled it in delivery order *)
+      ( ed.Co_schema.ed_name,
+        { Cache.ei_name = ed.Co_schema.ed_name; ei_parent = ed.Co_schema.ed_parent;
+          ei_child = ed.Co_schema.ed_child; ei_parent_node = (rt ed.Co_schema.ed_parent).nr_ni;
+          ei_child_node = (rt ed.Co_schema.ed_child).nr_ni;
+          ei_attr_schema =
+            (match er.er_bp with
+            | Some bp -> bp.bp_schema
+            | None -> er.er_plan.ep_cands.ec_generic_schema);
+          ei_conns = cs; ei_adj = None; ei_upd = Semantic.Upd_readonly "pending analysis" } ))
+    edge_defs
   in
   (* 6. staleness bookkeeping (table set precomputed at compile time) *)
   let base_tables = cp.cp_base_tables in
@@ -2003,10 +1600,7 @@ let execute_def ?(fixpoint = Semi_naive) ?(params = [||]) db (cp : compiled)
             end
           done)
       path_restrs;
-    dbg "restrictions";
-    Cache.recompute_reachability cache;
-    dbg "reachability");
-  dbg "tail";
+    Cache.recompute_reachability cache);
   cache
 
 (** [fetch_def ?force ~fixpoint db def path_restrs] compiles and

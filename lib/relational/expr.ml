@@ -363,9 +363,8 @@ let rec pp ppf = function
     key id is the int's id) and NULL = NULL (all NULLs are [Dict.null_id],
     so a build bucket holds all NULL-keyed rows — callers enforce SQL's
     NULL-never-matches rule by skipping keys for which [has_null] holds).
-    Shared by the relational hash join/group operators and the XNF batch
-    edge probers so both sides of a differential test agree on key
-    semantics. *)
+    Used by the relational hash join/group operators; the XNF edge
+    probers' index chains key by the same normalized ids. *)
 module Row_key = struct
   type t = int array
 

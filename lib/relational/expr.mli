@@ -98,8 +98,7 @@ val pp : Format.formatter -> t -> unit
     through [Dict.key_cell] so Int/Float cross-equality holds; NULLs
     ([Dict.null_id]) hash/compare equal — callers implement SQL's
     NULL-never-joins rule by skipping keys for which [has_null] holds.
-    Shared by the relational hash operators and the XNF batch edge
-    probers. *)
+    Used by the relational hash operators. *)
 module Row_key : sig
   type t = int array
 

@@ -175,8 +175,8 @@ let null_row width : Row.t = Array.make width Value.Null
 (* join/group keys are dictionary-encoded and key-normalized: comparison
    and hashing in the hash operators touch only ints, with Int/Float
    cross-equality and NULL handling folded into the ids by
-   [Dict.key_cell]. Key equality/hashing is shared with the XNF batch
-   edge probers ([Expr.Row_key]), so both layers agree on semantics. *)
+   [Dict.key_cell]. The XNF edge probers key their index chains by the
+   same normalized ids, so both layers agree on semantics. *)
 let key_values row keys : Expr.Row_key.t =
   let ks = Array.of_list keys in
   Array.map (fun e -> Dict.key_cell (Dict.encode (Expr.eval row e))) ks
@@ -198,7 +198,10 @@ and exec ~(recur : t -> Row.t Seq.t) (p : t) : Row.t Seq.t =
   | Index_scan { table; index; key } ->
     fun () ->
       let kv = Array.of_list (List.map (fun e -> Expr.eval [||] e) key) in
-      List.to_seq (List.map snd (Table.lookup_index table index kv)) ()
+      (* [col = NULL] is unknown: a NULL key matches no row, although the
+         index itself keys NULL = NULL *)
+      if Array.exists Value.is_null kv then Seq.empty ()
+      else List.to_seq (List.map snd (Table.lookup_index table index kv)) ()
   | Values rows -> List.to_seq rows
   | Filter (input, pred) ->
     Seq.filter (fun row -> Value.is_true (Expr.eval_pred row pred)) (run input)

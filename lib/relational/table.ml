@@ -226,9 +226,10 @@ let rowids t =
   List.rev !acc
 
 (** [add_index t ~name ~cols kind] creates and backfills an index on key
-    columns [cols]; returns it. *)
+    columns [cols]; returns it. Bumps the global index epoch. *)
 let add_index t ~name ~cols kind =
   let idx = Index.create ~name ~cols kind in
+  Index.bump_epoch ();
   Vec.iteri
     (fun rowid slot -> match slot with Some row -> Index.insert idx row rowid | None -> ())
     t.rows;

@@ -82,7 +82,8 @@ val rows : t -> Row.t list
 (** [rowids t] lists live row ids. *)
 val rowids : t -> int list
 
-(** [add_index t ~name ~cols kind] creates and backfills an index. *)
+(** [add_index t ~name ~cols kind] creates and backfills an index. Bumps
+    the global index epoch. *)
 val add_index : t -> name:string -> cols:int array -> Index.kind -> Index.t
 
 val indexes : t -> Index.t list

@@ -198,10 +198,18 @@ let test_build_reuse_plan_cache () =
   Alcotest.(check int) "one reuse per warm fetch" 2 s.hash_build_reuses;
   (* DML on the child table bumps its version: same plan, fresh build *)
   ignore (Db.exec db "INSERT INTO t1 VALUES (99, 0, 5)");
+  let epoch = Index.epoch () in
+  let plan_hits () = Obs.Metrics.counter_get "xnf.plancache.hits" in
+  let hits = plan_hits () in
   let cache = Xnf.Api.fetch_string api q in
   Alcotest.(check int) "stale build rebuilt" 2 s.hash_builds;
   Alcotest.(check int) "no bogus reuse" 2 s.hash_build_reuses;
-  Alcotest.(check int) "new child visible" 5 (node_count cache "x1")
+  Alcotest.(check int) "new child visible" 5 (node_count cache "x1");
+  (* a private build is no stored index: the epoch, and with it every
+     cached plan, survives the rebuild *)
+  Alcotest.(check int) "rebuild leaves the index epoch alone" epoch (Index.epoch ());
+  ignore (Xnf.Api.fetch_string api q);
+  Alcotest.(check int) "rebuild and next fetch both hit the plan cache" (hits + 2) (plan_hits ())
 
 let test_build_reuse_prepared_execute () =
   let db = Db.create () in

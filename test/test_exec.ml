@@ -147,7 +147,11 @@ let test_index_scan_used () =
   let db = mk_db () in
   ignore (Db.exec db "CREATE INDEX emp_edno ON emp (edno)");
   let plan = Db.explain db "SELECT * FROM emp WHERE edno = 1" in
-  Alcotest.(check bool) "uses index" true (contains ~sub:"IndexScan" plan)
+  Alcotest.(check bool) "uses index" true (contains ~sub:"IndexScan" plan);
+  (* the index keys NULL = NULL, but [col = NULL] is unknown *)
+  ignore (Db.exec db "INSERT INTO emp (eno, ename) VALUES (21, 'nil')");
+  Alcotest.(check int) "col = NULL matches nothing" 0
+    (List.length (Db.rows_of db "SELECT * FROM emp WHERE edno = NULL"))
 
 let test_union_sql () =
   let db = mk_db () in
