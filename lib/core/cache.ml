@@ -309,39 +309,61 @@ let iter_conns_of_child ei pos f =
   | Some l -> List.iter f (List.rev l)
   | None -> ()
 
+(* The one navigation gather. [far] maps a connection id to its far-end
+   position and [tuples] is the far node's vector. Each step conses the
+   far end of connection [ci] onto [acc] when both the connection and
+   that tuple are live. Top-level recursions with accumulator arguments
+   capture nothing, so a gather allocates only its result cells. *)
+let keep_far live far tuples ci acc =
+  if Bytes.get live ci = '\001' then begin
+    let p = far.(ci) in
+    if (Vec.get tuples p).t_live then p :: acc else acc
+  end
+  else acc
+
+(* overflow ids are newest first: consing while walking them yields
+   oldest first *)
+let rec gather_over live far tuples acc = function
+  | [] -> acc
+  | ci :: rest -> gather_over live far tuples (keep_far live far tuples ci acc) rest
+
+(* the CSR slice [idx.(lo..k)] from its high end down: ascending id order
+   in the result, with no reversal *)
+let rec gather_csr live far tuples idx lo k acc =
+  if k < lo then acc else gather_csr live far tuples idx lo (k - 1) (keep_far live far tuples idx.(k) acc)
+
+let gather ei ~off ~idx ~over ~far (far_node : node_inst) pos =
+  let live = ei.ei_conns.cs_live and tuples = far_node.ni_tuples in
+  let acc =
+    if Hashtbl.length over = 0 then []
+    else
+      match Hashtbl.find_opt over pos with
+      | Some l -> gather_over live far tuples [] l
+      | None -> []
+  in
+  let acc =
+    if pos < Array.length off - 1 then gather_csr live far tuples idx off.(pos) (off.(pos + 1) - 1) acc
+    else acc
+  in
+  note_nav acc
+
 (** [children cache ei parent_pos] is the positions of live child tuples
-    connected to the parent tuple at [parent_pos] (traversal
-    parent->child). The [cache] argument is unused but kept for symmetry
-    with call sites that traverse by name. *)
+    connected through live connections to the parent tuple at
+    [parent_pos] (traversal parent->child), in ascending connection id
+    order, duplicates kept. *)
 let children _cache ei parent_pos =
-  let acc = ref [] in
-  iter_conns_of_parent ei parent_pos (fun ci ->
-      if conn_live_at ei ci then begin
-        let c = conn_child_at ei ci in
-        if (Vec.get ei.ei_child_node.ni_tuples c).t_live then acc := c :: !acc
-      end);
-  note_nav (List.rev !acc)
+  let a = ensure_adj ei in
+  gather ei ~off:a.aj_child_off ~idx:a.aj_child_idx ~over:a.aj_child_over
+    ~far:ei.ei_conns.cs_child ei.ei_child_node parent_pos
 
 (** [parents cache ei child_pos] is the positions of live parent tuples
-    connected to the child tuple at [child_pos] (reverse traversal, which
-    XNF relationships permit). *)
+    connected through live connections to the child tuple at [child_pos]
+    (reverse traversal, which XNF relationships permit); same order
+    contract as {!children}. *)
 let parents _cache ei child_pos =
-  let acc = ref [] in
-  iter_conns_of_child ei child_pos (fun ci ->
-      if conn_live_at ei ci then begin
-        let p = conn_parent_at ei ci in
-        if (Vec.get ei.ei_parent_node.ni_tuples p).t_live then acc := p :: !acc
-      end);
-  note_nav (List.rev !acc)
-
-(** [related cache ei pos ~from] traverses edge [ei] from the node [from]:
-    forward when [from] is the parent side, backward when the child side.
-    @raise Cache_error when [from] is neither partner. *)
-let related cache ei ~from pos =
-  let from = String.lowercase_ascii from in
-  if String.equal from ei.ei_parent then (ei.ei_child, children cache ei pos)
-  else if String.equal from ei.ei_child then (ei.ei_parent, parents cache ei pos)
-  else err "relationship %s does not involve %s" ei.ei_name from
+  let a = ensure_adj ei in
+  gather ei ~off:a.aj_parent_off ~idx:a.aj_parent_idx ~over:a.aj_parent_over
+    ~far:ei.ei_conns.cs_parent ei.ei_parent_node child_pos
 
 (** [add_conn ei ~parent ~child ~attrs] appends a live connection and
     updates adjacency; returns its id. *)
@@ -450,10 +472,23 @@ let stale cache db =
       | None -> true)
     cache.c_base_versions
 
-(** A snapshot lookup structure over one cached node: normalized key id ->
-    positions of live tuples (int-keyed, so probes never box). Rebuild
-    after udi operations that change the keyed column. *)
-type key_index = { ki_node : string; ki_col : int; ki_map : (int, int list) Hashtbl.t }
+(** A snapshot lookup structure over one cached node, on the chain shape
+    of {!Index}: [ki_heads] maps a key id's hash to the newest position of
+    its chain, [ki_next] links each chain's positions newest first, and
+    [ki_keys] holds every indexed position's normalized key id (a probe
+    compares ints and never boxes). Rebuild after udi operations that
+    change the keyed column. *)
+type key_index = {
+  ki_node : node_inst;
+  ki_heads : Intmap.t;  (** key id hash -> newest position of the chain *)
+  ki_next : int array;  (** position -> next older position of its chain, -1 at the end *)
+  ki_keys : int array;  (** position -> normalized key id at build time *)
+}
+
+(* Intmap keys must be non-negative; inline negative integers keep their
+   sign in the key id, so chains are headed by a masked id and the walk
+   compares the full one *)
+let key_hash k = k land max_int
 
 (** [build_key_index cache ~node ~col] indexes the live tuples of [node] by
     the value of column [col] — O(1) point access into the cache, as
@@ -466,33 +501,64 @@ let build_key_index cache ~node:name ~col =
     | Some i -> i
     | None -> err "no column %s in component %s" col name
   in
-  let map = Hashtbl.create (max 16 (live_count ni)) in
+  let n = Vec.length ni.ni_tuples in
+  let heads = Intmap.create ~size:(max 16 (live_count ni)) in
+  let next = Array.make n (-1) and keys = Array.make n 0 in
   Vec.iter
     (fun t ->
       if t.t_live then begin
-        let v = Dict.key_cell t.t_row.(ci) in
-        Hashtbl.replace map v (t.t_pos :: Option.value ~default:[] (Hashtbl.find_opt map v))
+        let k = Dict.key_cell t.t_row.(ci) in
+        let h = key_hash k in
+        keys.(t.t_pos) <- k;
+        next.(t.t_pos) <- Intmap.get heads h;
+        Intmap.set heads h t.t_pos
       end)
     ni.ni_tuples;
-  { ki_node = ni.ni_name; ki_col = ci; ki_map = map }
+  { ki_node = ni; ki_heads = heads; ki_next = next; ki_keys = keys }
+
+(* the first position from [p] on along its chain keyed [k] whose tuple
+   is still live, or -1 *)
+let rec key_seek ki k p =
+  if p < 0 || (ki.ki_keys.(p) = k && (Vec.get ki.ki_node.ni_tuples p).t_live) then p
+  else key_seek ki k ki.ki_next.(p)
+
+let rec key_chain ki k p =
+  let p = key_seek ki k p in
+  if p < 0 then [] else p :: key_chain ki k ki.ki_next.(p)
+
+(* the head of [v]'s chain; [find_key], not [encode]: a miss must not
+   grow the dictionary *)
+let key_first ki v =
+  match Dict.find_key v with
+  | Some k -> key_seek ki k (Intmap.get ki.ki_heads (key_hash k))
+  | None -> -1
 
 (** [lookup_key cache ki v] is the positions of live tuples whose keyed
-    column equals [v] (stale entries for tombstoned tuples are filtered). *)
-let lookup_key cache ki v =
-  let ni = node cache ki.ki_node in
-  (* [find_key], not [encode]: a miss must not grow the dictionary *)
-  let bucket =
-    match Dict.find_key v with
-    | Some k -> Option.value ~default:[] (Hashtbl.find_opt ki.ki_map k)
-    | None -> []
-  in
-  let hits = List.filter (fun pos -> (tuple ni pos).t_live) bucket in
-  Obs.Metrics.incr (match hits with [] -> m_key_misses | _ -> m_key_hits);
-  hits
+    column equalled [v] at build time, newest position first (tombstoned
+    tuples are skipped). *)
+let lookup_key _cache ki v =
+  let first = key_first ki v in
+  if first < 0 then begin
+    Obs.Metrics.incr m_key_misses;
+    []
+  end
+  else begin
+    Obs.Metrics.incr m_key_hits;
+    first :: key_chain ki ki.ki_keys.(first) ki.ki_next.(first)
+  end
 
-(** [lookup_key_one cache ki v] is the unique position for [v], if any. *)
-let lookup_key_one cache ki v =
-  match lookup_key cache ki v with pos :: _ -> Some pos | [] -> None
+(** [lookup_key_one cache ki v] is the newest live position for [v], if
+    any. *)
+let lookup_key_one _cache ki v =
+  let first = key_first ki v in
+  if first < 0 then begin
+    Obs.Metrics.incr m_key_misses;
+    None
+  end
+  else begin
+    Obs.Metrics.incr m_key_hits;
+    Some first
+  end
 
 (** [total_tuples cache] counts live tuples across all nodes. *)
 let total_tuples cache = List.fold_left (fun acc (_, ni) -> acc + live_count ni) 0 cache.c_nodes

@@ -134,20 +134,18 @@ val live_conn_count : edge_inst -> int
 val iter_conns_of_parent : edge_inst -> int -> (int -> unit) -> unit
 val iter_conns_of_child : edge_inst -> int -> (int -> unit) -> unit
 
-(** [children cache ei parent_pos] is the positions of live child tuples
-    connected to the parent tuple (traversal parent->child). *)
+(** Navigation. [children cache ei parent_pos] is the positions of the
+    live child tuples joined to the parent tuple by live connections
+    (traversal parent->child); [parents cache ei child_pos] is the
+    reverse traversal, which XNF relationships permit. Both return one
+    position per qualifying connection, in ascending connection id order:
+    first the connections the adjacency was built over, then those added
+    by {!add_conn} since, oldest first. A child reached through two
+    connections appears twice. Only the result list is allocated; the
+    [cache] argument is not consulted. *)
+
 val children : t -> edge_inst -> int -> int list
-
-(** [parents cache ei child_pos] is the positions of live parent tuples
-    connected to the child tuple (reverse traversal, which XNF
-    relationships permit). *)
 val parents : t -> edge_inst -> int -> int list
-
-(** [related cache ei ~from pos] traverses [ei] from node [from]: forward
-    when [from] is the parent side, backward when the child side. Returns
-    the target node name and positions.
-    @raise Cache_error when [from] is neither partner. *)
-val related : t -> edge_inst -> from:string -> int -> string * int list
 
 (** [add_conn ei ~parent ~child ~attrs] appends a live connection, updating
     adjacency when built; returns its id. *)
@@ -173,9 +171,10 @@ val recompute_reachability : t -> unit
     loaded, other than through this cache's own propagation. *)
 val stale : t -> Db.t -> bool
 
-(** A snapshot lookup structure over one cached node: column value ->
-    positions of live tuples. Rebuild after manipulation operations that
-    change the keyed column. *)
+(** A snapshot lookup structure over one cached node: column key ->
+    positions of the tuples live at build time, chained newest position
+    first. Rebuild after manipulation operations that change the keyed
+    column. *)
 type key_index
 
 (** [build_key_index cache ~node ~col] indexes the live tuples of [node] by
@@ -184,11 +183,13 @@ type key_index
     @raise Cache_error on unknown node or column. *)
 val build_key_index : t -> node:string -> col:string -> key_index
 
-(** [lookup_key cache ki v] is the positions of live tuples whose keyed
-    column equals [v]. *)
+(** [lookup_key cache ki v] is the positions of the tuples whose keyed
+    column equalled [v] ({!Value.equal}) at build time and that are still
+    live, newest position first. Never interns [v]. *)
 val lookup_key : t -> key_index -> Value.t -> int list
 
-(** [lookup_key_one cache ki v] is the unique position for [v], if any. *)
+(** [lookup_key_one cache ki v] is the first position {!lookup_key} would
+    return, without building the list. *)
 val lookup_key_one : t -> key_index -> Value.t -> int option
 
 (** [total_tuples cache] / [total_conns cache]: live counts across all

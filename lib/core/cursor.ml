@@ -26,7 +26,7 @@ type kind =
 
 and t = {
   cur_cache : Cache.t;
-  cur_node : string;  (** node enumerated by this cursor *)
+  cur_ni : Cache.node_inst;  (** node enumerated by this cursor, resolved at open *)
   mutable cur_positions : int list;  (** remaining enumeration *)
   mutable cur_current : int option;  (** position of the current tuple *)
   cur_kind : kind;
@@ -52,34 +52,39 @@ let target_node cache start steps =
       end)
     start steps
 
+(* the live positions of [ni] in one pass, in position order or stably
+   sorted by a column *)
+let enumerate (ni : Cache.node_inst) order =
+  let tuples = ni.Cache.ni_tuples in
+  let positions = ref [] in
+  for pos = Relational.Vec.length tuples - 1 downto 0 do
+    if (Relational.Vec.get tuples pos).Cache.t_live then positions := pos :: !positions
+  done;
+  match order with
+  | None -> !positions
+  | Some (col, dir) ->
+    let ci =
+      match Relational.Schema.find_opt ni.Cache.ni_schema col with
+      | Some i -> i
+      | None -> err "no column %s in component %s" col ni.Cache.ni_name
+    in
+    let cmp a b =
+      let c =
+        Relational.Value.compare_total
+          (Cache.col (Cache.tuple ni a) ci)
+          (Cache.col (Cache.tuple ni b) ci)
+      in
+      match dir with `Asc -> c | `Desc -> -c
+    in
+    List.stable_sort cmp !positions
+
 (** [open_independent ?order cache node] opens a cursor over all live
     tuples of [node]. [order] optionally sorts the enumeration by a column
     ([`Asc] / [`Desc]); the default is cache position order. *)
-let enumerate cache node order =
-  let ni = Cache.node cache node in
-  let tuples = Cache.live_tuples ni in
-  let tuples =
-    match order with
-    | None -> tuples
-    | Some (col, dir) ->
-      let ci =
-        match Relational.Schema.find_opt ni.Cache.ni_schema col with
-        | Some i -> i
-        | None -> err "no column %s in component %s" col node
-      in
-      let cmp a b =
-        let c = Relational.Value.compare_total (Cache.col a ci) (Cache.col b ci) in
-        match dir with `Asc -> c | `Desc -> -c
-      in
-      List.stable_sort cmp tuples
-  in
-  List.map (fun t -> t.Cache.t_pos) tuples
-
 let open_independent ?order cache node =
   Obs.Metrics.incr m_opens;
   let ni = Cache.node cache node in
-  { cur_cache = cache; cur_node = ni.Cache.ni_name;
-    cur_positions = enumerate cache ni.Cache.ni_name order; cur_current = None;
+  { cur_cache = cache; cur_ni = ni; cur_positions = enumerate ni order; cur_current = None;
     cur_kind = Independent { ind_order = order } }
 
 (** [open_dependent ~parent path] opens a cursor bound to [parent] through
@@ -89,8 +94,13 @@ let open_independent ?order cache node =
 let open_dependent ~parent (path : step list) =
   Obs.Metrics.incr m_opens;
   if path = [] then err "dependent cursor needs a non-empty path";
-  let node = target_node parent.cur_cache parent.cur_node path in
-  { cur_cache = parent.cur_cache; cur_node = node; cur_positions = [];
+  let node = target_node parent.cur_cache parent.cur_ni.Cache.ni_name path in
+  let ni =
+    match Cache.node_opt parent.cur_cache node with
+    | Some ni -> ni
+    | None -> err "unknown component %s" node
+  in
+  { cur_cache = parent.cur_cache; cur_ni = ni; cur_positions = [];
     cur_current = None;
     cur_kind = Dependent { dep_parent = parent; dep_path = path; dep_parent_pos = None } }
 
@@ -111,7 +121,7 @@ let refresh_dependent c =
       | Some pos ->
         Obs.Metrics.incr m_expansions;
         let env =
-          [ ("__cursor", { Path.b_node = d.dep_parent.cur_node; b_pos = pos }) ]
+          [ ("__cursor", { Path.b_node = d.dep_parent.cur_ni.Cache.ni_name; b_pos = pos }) ]
         in
         let _, positions =
           Path.eval_path c.cur_cache env { p_start = "__cursor"; p_steps = d.dep_path }
@@ -132,8 +142,7 @@ let rec next c =
     None
   | pos :: rest ->
     c.cur_positions <- rest;
-    let ni = Cache.node c.cur_cache c.cur_node in
-    let t = Cache.tuple ni pos in
+    let t = Cache.tuple c.cur_ni pos in
     if t.Cache.t_live then begin
       c.cur_current <- Some pos;
       Some t
@@ -145,22 +154,21 @@ let current c =
   match c.cur_current with
   | None -> None
   | Some pos ->
-    let ni = Cache.node c.cur_cache c.cur_node in
-    let t = Cache.tuple ni pos in
+    let t = Cache.tuple c.cur_ni pos in
     if t.Cache.t_live then Some t else None
 
 (** [reset c] rewinds the cursor to before the first tuple. *)
 let reset c =
   c.cur_current <- None;
   match c.cur_kind with
-  | Independent { ind_order } -> c.cur_positions <- enumerate c.cur_cache c.cur_node ind_order
+  | Independent { ind_order } -> c.cur_positions <- enumerate c.cur_ni ind_order
   | Dependent d ->
     (* force recomputation from the parent's current position *)
     d.dep_parent_pos <- None;
     c.cur_positions <- []
 
 (** [node_name c] is the node this cursor ranges over. *)
-let node_name c = c.cur_node
+let node_name c = c.cur_ni.Cache.ni_name
 
 (** [iter f c] resets [c] and applies [f] to every enumerated tuple. *)
 let iter f c =

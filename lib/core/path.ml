@@ -153,24 +153,28 @@ and step cache env (current_node, positions) s =
        edge lookup miss falls back to a node checkpoint *)
     match Cache.edge_opt cache name with
     | Some ei ->
-      let target = ref current_node in
-      let out =
-        List.concat_map
-          (fun pos ->
-            let t, related = Cache.related cache ei ~from:current_node pos in
-            target := t;
-            related)
-          positions
-      in
-      let target =
-        (* empty position list: still resolve the target statically *)
-        if positions = [] then
-          (if String.equal (String.lowercase_ascii current_node) ei.Cache.ei_parent then
-             ei.Cache.ei_child
-           else ei.Cache.ei_parent)
-        else !target
-      in
-      (target, List.sort_uniq compare out)
+      (* the direction is fixed once per step: forward from the parent
+         side (a cyclic edge's own node included), backward from the
+         child side *)
+      let current = String.lowercase_ascii current_node in
+      let forward = String.equal current ei.Cache.ei_parent in
+      let target = if forward then ei.Cache.ei_child else ei.Cache.ei_parent in
+      if positions = [] then (target, [])
+      else begin
+        if not (forward || String.equal current ei.Cache.ei_child) then
+          raise
+            (Cache.Cache_error
+               (Printf.sprintf "relationship %s does not involve %s" ei.Cache.ei_name current));
+        let related pos =
+          if forward then Cache.children cache ei pos else Cache.parents cache ei pos
+        in
+        let out =
+          match positions with
+          | [ pos ] -> related pos
+          | _ -> List.fold_left (fun acc pos -> List.rev_append (related pos) acc) [] positions
+        in
+        (target, List.sort_uniq Int.compare out)
+      end
     | None -> begin
       match Cache.node_opt cache name with
       | Some _ ->

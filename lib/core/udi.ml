@@ -166,11 +166,28 @@ let queue ses p =
     | P_link_insert { table; row } -> ignore (write_insert ses (Catalog.table catalog table) row)
     | P_link_delete { table; match_cols } ->
       let tbl = Catalog.table catalog table in
+      let matches row = List.for_all (fun (col, v) -> Value.equal row.(col) v) match_cols in
+      (* candidates come from an index on one match column when there is
+         one (index keys treat NULL = NULL, so a NULL match value scans);
+         every candidate is re-checked, and victims are deleted in rowid
+         order either way *)
+      let probe =
+        if List.exists (fun (_, v) -> Value.is_null v) match_cols then None
+        else
+          List.find_map
+            (fun (col, v) ->
+              Option.map (fun idx -> (idx, v)) (Table.find_index tbl ~cols:[| col |]))
+            match_cols
+      in
       let victims =
-        List.filter
-          (fun (_, row) ->
-            List.for_all (fun (col, v) -> Value.equal row.(col) v) match_cols)
-          (List.of_seq (Table.to_seq tbl))
+        match probe with
+        | Some (idx, v) ->
+          List.filter (fun (_, row) -> matches row) (Table.lookup_index tbl idx [| v |])
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        | None ->
+          let acc = ref [] in
+          Table.iter (fun rowid row -> if matches row then acc := (rowid, row) :: !acc) tbl;
+          List.rev !acc
       in
       check_conflict ses tbl;
       List.iter (fun (rowid, _) -> ignore (write_delete ses tbl rowid)) victims

@@ -30,7 +30,7 @@ let detail_of (o : Oracle.outcome) =
 
 let coverage_counts =
   [ "recursive"; "sharing"; "views"; "using"; "paths"; "naive"; "lw90"; "mono"; "hash";
-    "adaptive"; "advise"; "dict" ]
+    "adaptive"; "advise"; "dict"; "nav" ]
 
 let bump cov (f : Oracle.flags) =
   let on = function
@@ -46,6 +46,7 @@ let bump cov (f : Oracle.flags) =
     | "adaptive" -> f.Oracle.f_adaptive
     | "advise" -> f.Oracle.f_advise
     | "dict" -> f.Oracle.f_dict
+    | "nav" -> f.Oracle.f_nav
     | _ -> false
   in
   List.map (fun (k, n) -> (k, if on k then n + 1 else n)) cov

@@ -13,6 +13,8 @@
      - structural invariants: live connections join live tuples, and in
        the pre-TAKE instance every live non-root tuple has a live
        incoming connection;
+     - navigation: every edge's traversals of every live tuple of the
+       delivered instance equal a brute-force scan of its connections;
      - lint cleanliness of every generated XNF statement;
      - metamorphic properties: a strengthened query yields a sub-instance
        (when every path restriction is monotone), TAKE projection of a
@@ -55,13 +57,14 @@ type flags = {
   f_adaptive : bool;  (** adaptive differential saw a mid-fixpoint switch fire *)
   f_advise : bool;  (** the plan-advisor purity guard ran *)
   f_dict : bool;  (** the dictionary round-trip oracle compared the instance *)
+  f_nav : bool;  (** the navigation guard compared some live tuple's traversal *)
   f_mutated : bool;  (** the injected mutation found something to break *)
 }
 
 let no_flags =
   { f_recursive = false; f_sharing = false; f_views = false; f_using = false; f_paths = false;
     f_naive = false; f_lw90 = false; f_mono = false; f_hash = false; f_adaptive = false;
-    f_advise = false; f_dict = false; f_mutated = false }
+    f_advise = false; f_dict = false; f_nav = false; f_mutated = false }
 
 type outcome = { o_divs : divergence list; o_flags : flags }
 
@@ -201,6 +204,48 @@ let check_reachability (cache : Cache.t) : string option =
                    t.Cache.t_pos))
           (Cache.live_tuples ni))
     cache.Cache.c_nodes
+
+(* brute force over the connection arrays: [expected.(p)] lists, in
+   ascending connection id order, the far end of every live connection
+   whose near end is [p] and whose far tuple is live *)
+let nav_expected (ei : Cache.edge_inst) ~forward =
+  let near_node, far_node =
+    if forward then (ei.Cache.ei_parent_node, ei.Cache.ei_child_node)
+    else (ei.Cache.ei_child_node, ei.Cache.ei_parent_node)
+  in
+  let expected = Array.make (Vec.length near_node.Cache.ni_tuples) [] in
+  for i = Cache.conn_count ei - 1 downto 0 do
+    let p = Cache.conn_parent_at ei i and c = Cache.conn_child_at ei i in
+    let near, far = if forward then (p, c) else (c, p) in
+    if Cache.conn_live_at ei i && (Cache.tuple far_node far).Cache.t_live then
+      expected.(near) <- far :: expected.(near)
+  done;
+  (near_node, expected)
+
+(** [check_nav cache] verifies that {!Cache.children} and {!Cache.parents}
+    of every live tuple, on every edge, equal a brute-force scan of the
+    connection arrays, order and duplicates included. *)
+let check_nav (cache : Cache.t) : string option =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  first_some
+    (fun (name, ei) ->
+      first_some
+        (fun (forward, what) ->
+          let near_node, expected = nav_expected ei ~forward in
+          first_some
+            (fun (t : Cache.tuple) ->
+              let pos = t.Cache.t_pos in
+              let got =
+                if forward then Cache.children cache ei pos else Cache.parents cache ei pos
+              in
+              if got = expected.(pos) then None
+              else
+                Some
+                  (Printf.sprintf "%s: %s of tuple %d = [%s], brute force [%s]" name what pos
+                     (ints got) (ints expected.(pos))))
+            (Cache.live_tuples near_node))
+        [ (true, "children"); (false, "parents") ])
+    cache.Cache.c_edges
 
 (* ---- mutation injection ---- *)
 
@@ -381,6 +426,21 @@ let run ?(advise = false) ?mutation ?extra_restr (sc : Gen.scenario) : outcome =
           (match check_conn_liveness sut with
           | Some d -> add "reachability" d
           | None -> ());
+          (* navigation: every traversal of the delivered instance equals
+             the brute-force scan *)
+          guard "nav" (fun () ->
+              match check_nav sut with
+              | Some d -> add "nav" d
+              | None -> ());
+          let flags =
+            { flags with
+              f_nav =
+                List.exists
+                  (fun (_, ei) ->
+                    Cache.live_count ei.Cache.ei_parent_node > 0
+                    || Cache.live_count ei.Cache.ei_child_node > 0)
+                  sut.Cache.c_edges }
+          in
           (* oracle 1: naive reachability fixpoint, full pipeline *)
           guard "fixpoint" (fun () ->
               let nf = Api.fetch ~fixpoint:Translate.Naive api q in

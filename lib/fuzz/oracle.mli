@@ -35,6 +35,7 @@ type flags = {
   f_adaptive : bool;  (** adaptive differential saw a mid-fixpoint switch fire *)
   f_advise : bool;  (** the plan-advisor purity guard ran *)
   f_dict : bool;  (** the dictionary round-trip oracle compared the instance *)
+  f_nav : bool;  (** the navigation guard compared some live tuple's traversal *)
   f_mutated : bool;  (** the injected mutation found something to break *)
 }
 
@@ -75,6 +76,13 @@ val subset_caches : Cache.t -> Cache.t -> string option
 (** [check_conn_liveness cache] verifies every live connection joins two
     live tuples (valid on any instance). *)
 val check_conn_liveness : Cache.t -> string option
+
+(** [check_nav cache] verifies that {!Cache.children} and
+    {!Cache.parents} of every live tuple, on every edge, equal a
+    brute-force scan of the connection arrays: the far ends of live
+    connections to live tuples, in ascending connection id order,
+    duplicates kept. *)
+val check_nav : Cache.t -> string option
 
 (** [check_reachability cache] verifies every live tuple of a non-root
     component has a live incoming connection. Only valid on pre-TAKE

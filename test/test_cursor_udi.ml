@@ -126,6 +126,29 @@ let test_link_connect_disconnect () =
   Alcotest.(check int) "link tuple deleted" 0
     (List.length (Db.rows_of db "SELECT * FROM empproj WHERE eppno = 11 AND epeno = 3"))
 
+(* a USING disconnect deletes every link row matching both bindings,
+   whether the candidates come from an index on one link column or from
+   a scan *)
+let test_link_disconnect_indexed () =
+  let remaining indexed =
+    let db, api, _ = mk () in
+    List.iter
+      (fun s -> ignore (Db.exec db s))
+      ([ "INSERT INTO empproj VALUES (1, 10, 5), (1, 11, 7), (3, 10, 9)" ]
+      @ if indexed then [ "CREATE INDEX ep_e ON empproj (epeno)"; "CREATE INDEX ep_p ON empproj (eppno)" ]
+        else []);
+    let cache = Xnf.Api.fetch_string api "OUT OF V TAKE *" in
+    let ses = Xnf.Api.session api cache in
+    Xnf.Udi.disconnect ses ~edge:"membership" ~parent:(find_by_key cache "xproj" 10)
+      ~child:(find_by_key cache "xemp" 1);
+    Db.rows_of db "SELECT epeno, eppno FROM empproj"
+    |> List.map (fun r -> (Value.as_int r.(0), Value.as_int r.(1)))
+    |> List.sort compare
+  in
+  let expected = [ (1, 11); (2, 10); (3, 10) ] in
+  Alcotest.(check (list (pair int int))) "scan" expected (remaining false);
+  Alcotest.(check (list (pair int int))) "index" expected (remaining true)
+
 let test_disconnect_unreachable_leaves_co () =
   let db, api, cache = mk () in
   let ses = Xnf.Api.session api cache in
@@ -280,4 +303,5 @@ let suite =
     Alcotest.test_case "optimistic conflict detected" `Quick test_optimistic_conflict_detected;
     Alcotest.test_case "own writes do not conflict" `Quick test_own_writes_do_not_conflict;
     Alcotest.test_case "deferred conflict at save" `Quick test_deferred_conflict_detected_at_save;
-    Alcotest.test_case "read-only node rejected" `Quick test_readonly_node_rejected ]
+    Alcotest.test_case "read-only node rejected" `Quick test_readonly_node_rejected;
+    Alcotest.test_case "link disconnect through an index" `Quick test_link_disconnect_indexed ]

@@ -36,7 +36,8 @@ let test_short_run_clean () =
   let cov k = List.assoc k report.Fuzz.Driver.r_coverage in
   Alcotest.(check bool) "naive oracle exercised" true (cov "naive" > 0);
   Alcotest.(check bool) "lw90 oracle exercised" true (cov "lw90" > 0);
-  Alcotest.(check bool) "monotonicity exercised" true (cov "mono" > 0)
+  Alcotest.(check bool) "monotonicity exercised" true (cov "mono" > 0);
+  Alcotest.(check bool) "navigation guard exercised" true (cov "nav" > 0)
 
 let test_mutations_caught () =
   List.iter

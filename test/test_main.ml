@@ -35,7 +35,7 @@ let () =
       ("xnf-translate", Test_translate.suite);
       ("xnf-path", Test_path.suite);
       ("xnf-cursor-udi", Test_cursor_udi.suite);
-      ("xnf-cache-extras", Test_cache_extras.suite);
+      ("xnf-cache-extras", Test_cache_extras.suite qcheck_seed);
       ("workload", Test_workload.suite);
       ("baselines", Test_baseline.suite);
       ("conformance", Test_conformance.suite);
